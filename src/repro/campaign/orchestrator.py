@@ -37,13 +37,10 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..chaos.generator import generate_plan
 from ..chaos.invariants import InvariantSuite
-from ..core.tasks import reset_task_ids
-from ..dag.graph import reset_graph_ids
 from ..errors import CampaignError
 from ..faults.backhaul import BackhaulFaultDriver
 from ..faults.injector import FaultInjector
-from ..mobility.vehicle import reset_vehicle_ids
-from ..net.messages import reset_message_ids
+from ..ids import reset_global_ids
 from ..obs.exporters import write_json_report
 from .scenarios import backhaul_fault_plan, build_scenario, fault_profile_for
 from .spec import CampaignSpec, RunSpec
@@ -56,14 +53,6 @@ DETERMINISTIC_ARTIFACTS = (
     "invariants.json",
     "vector.json",
 )
-
-
-def _reset_global_ids() -> None:
-    """Rewind every process-global id counter for cross-run replay."""
-    reset_task_ids()
-    reset_vehicle_ids()
-    reset_message_ids()
-    reset_graph_ids()
 
 
 def _write_json(path: str, payload: Mapping[str, Any]) -> None:
@@ -130,7 +119,7 @@ def execute_run(spec: RunSpec, out_dir: str) -> RunOutcome:
     perturbs seeded metrics).
     """
     started = time.perf_counter()
-    _reset_global_ids()
+    reset_global_ids()
     scenario = build_scenario(spec)
     world = scenario.world
     world.enable_observability(trace=True, events=True)

@@ -12,9 +12,9 @@ re-running the whole scenario deterministically for each candidate —
 and packages seed, plan, first violation, minimal fault set and a
 causal-trace excerpt into a :class:`~.bundle.ReproducerBundle`.
 
-Cross-run determinism: task / vehicle / message ids come from
-process-global counters, so the runner rewinds them before every run
-(:func:`~repro.core.tasks.reset_task_ids` and friends).  Two calls to
+Cross-run determinism: task, vehicle, message, graph and RSU ids come
+from process-global counters, so the runner rewinds them before every
+run (:func:`~repro.ids.reset_global_ids`).  Two calls to
 :meth:`run_seed` with the same arguments are therefore byte-identical
 even within one process — the property replay depends on.
 """
@@ -24,12 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..core.tasks import reset_task_ids
 from ..errors import ChaosError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
-from ..mobility.vehicle import reset_vehicle_ids
-from ..net.messages import reset_message_ids
+from ..ids import reset_global_ids
 from ..sim.world import World
 from .bundle import ReproducerBundle
 from .generator import ChaosProfile, ChaosTargets, generate_plan
@@ -130,13 +128,6 @@ class CampaignResult:
 ScenarioFactory = Callable[[int], ChaosScenario]
 
 
-def _reset_global_ids() -> None:
-    """Rewind process-global id counters for cross-run replay."""
-    reset_task_ids()
-    reset_vehicle_ids()
-    reset_message_ids()
-
-
 class ChaosRunner:
     """Runs seeded chaos campaigns against a scenario factory."""
 
@@ -165,7 +156,7 @@ class ChaosRunner:
         observe: bool = False,
     ) -> RunResult:
         """Execute one seeded run; optionally arm only a schedule subset."""
-        _reset_global_ids()
+        reset_global_ids()
         scenario = self.factory(seed)
         world = scenario.world
         if observe:

@@ -25,6 +25,16 @@ def next_rsu_id() -> str:
     return f"rsu-{next(_rsu_counter)}"
 
 
+def reset_rsu_ids() -> None:
+    """Rewind the process-global RSU id counter to ``rsu-1``.
+
+    Companion of :func:`repro.core.tasks.reset_task_ids` for
+    byte-identical cross-run replay; rewind only between fresh worlds.
+    """
+    global _rsu_counter
+    _rsu_counter = itertools.count(1)
+
+
 class Rsu(FixedNode):
     """A road-side unit: local radio plus wired backhaul."""
 

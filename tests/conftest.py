@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.tasks import reset_task_ids
-from repro.dag.graph import reset_graph_ids
-from repro.mobility.vehicle import reset_vehicle_ids
+from repro.ids import reset_global_ids
 from repro.sim import ScenarioConfig, SeededRng, World
 
 
@@ -14,15 +12,14 @@ from repro.sim import ScenarioConfig, SeededRng, World
 def _reset_global_id_counters():
     """Rewind the process-global id counters before every test.
 
-    Task, vehicle and graph ids come from process-global counters, so a
-    test asserting on concrete ids (``task-1``, ``veh-3``, ``graph-1``)
-    or on seeded byte-identical replays would otherwise depend on which
-    tests ran before it.  Centralizing the reset here keeps every test
-    hermetic without each one remembering to do it manually.
+    Task, vehicle, message, graph and RSU ids come from process-global
+    counters, so a test asserting on concrete ids (``task-1``,
+    ``veh-3``, ``graph-1``) or on seeded byte-identical replays would
+    otherwise depend on which tests ran before it.  Centralizing the
+    reset here keeps every test hermetic without each one remembering
+    to do it manually.
     """
-    reset_task_ids()
-    reset_vehicle_ids()
-    reset_graph_ids()
+    reset_global_ids()
 
 
 @pytest.fixture

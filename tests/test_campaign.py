@@ -200,6 +200,23 @@ class TestExecuteRun:
                 with open(os.path.join(second.artifact_dir, name), "rb") as fb:
                     assert fa.read() == fb.read(), name
 
+    def test_infrastructure_serving_replays_in_process(self, tmp_path):
+        """RSU ids are rewound with every other id counter, so a cell
+        that deploys RSUs replays identically in a warm process."""
+        spec = RunSpec(
+            campaign="full",
+            architecture="infrastructure",
+            workload="serving",
+            fault_profile="none",
+            mobility="highway",
+            seed=1,
+            run_length_s=24.0,
+        )
+        first = execute_run(spec, str(tmp_path / "a"))
+        second = execute_run(spec, str(tmp_path / "b"))
+        assert first.vector["serve/admitted"] > 0
+        assert first.vector == second.vector
+
     def test_orchestrator_writes_manifest(self, tmp_path):
         spec = make_spec(
             matrix=ScenarioMatrix(

@@ -16,6 +16,7 @@ from repro.chaos import (
     campaign_size,
     ddmin,
     generate_plan,
+    infrastructure_scenario,
     stationary_scenario,
 )
 from repro.chaos.invariants import ChannelConservation, SingleHead
@@ -213,6 +214,15 @@ class TestRunner:
         assert a.plan.describe() == b.plan.describe()
         assert (a.submitted, a.completed, a.failed) == (b.submitted, b.completed, b.failed)
         assert [v.describe() for v in a.violations] == [v.describe() for v in b.violations]
+
+    def test_infrastructure_replay_rewinds_rsu_ids(self):
+        """An RSU-anchored scenario replays in the same process: the RSU
+        id (and the cloud id and metric names built from it) restarts at
+        ``rsu-1`` for every run, so ddmin replays are deterministic."""
+        runner = ChaosRunner(infrastructure_scenario)
+        a = runner.run_seed(101)
+        b = runner.run_seed(101)
+        assert a.scenario.world.metrics.snapshot() == b.scenario.world.metrics.snapshot()
 
     def test_campaign_aggregates(self):
         runner = ChaosRunner(
