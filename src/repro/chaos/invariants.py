@@ -34,16 +34,18 @@ section (§V.A) asks of a vehicular cloud:
   balances (``offered = admitted + rejected``;
   ``admitted = completed + failed + shed + queued + in-flight``), so
   load shedding and hedging never lose a request silently;
-* :class:`DagConservation` — the DAG scheduler's graph and replica
-  streams balance (every submitted graph is completed, failed or
-  running; every stage replica ever submitted is completed, failed or
-  live on the cloud), extending task conservation to subtasks so
-  replication and first-result-wins cancellation never leak work;
-* :class:`TierConservation` — the tiered offloader's task and attempt
-  streams balance across tiers: every speculated task resolves to
-  exactly one winner with all losing replicas cancelled, failed, or
-  flagged late, so cross-tier speculation over a lossy backhaul never
-  double-completes or silently drops a task.
+* :class:`DagConservation` — the DAG scheduler's graph stream balances
+  (every submitted graph is completed, failed or running), extending
+  task conservation to graphs;
+* :class:`TierConservation` — the tiered offloader's task stream
+  balances across tiers: every speculated task is completed, failed or
+  still racing, with exactly one winner per completion, so cross-tier
+  speculation over a lossy backhaul never double-completes or silently
+  drops a task.
+
+The last three share their attempt half: the hedges, stage replicas
+and tier attempts all run in races (:mod:`repro.core.race`), and each
+check audits its owner's race ledger the same way.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Set
 
+from ..core.race import RaceLedger
 from ..faults.consistency import ConsistencyChecker
 from ..net.clustering.base import ClusterSet
 from ..sim.metrics import MetricsRegistry
@@ -122,6 +125,11 @@ class InvariantSuite:
 
 def _violation(name: str, now: float, message: str) -> Violation:
     return Violation(invariant=name, time=now, message=message)
+
+
+def _race_violations(name: str, now: float, ledger: RaceLedger) -> List[Violation]:
+    """The attempt half every race owner's invariant shares."""
+    return [_violation(name, now, message) for message in ledger.audit()]
 
 
 class TaskConservation:
@@ -446,7 +454,9 @@ class ServingConservation:
     loser finalized twice, a batch member finalized with the wrong
     multiplicity).  In-flight counts *requests*, not cloud dispatches:
     a coalesced batch holds one cloud task but each member stays an
-    admitted request until the batch reaches a terminal state.
+    admitted request until the batch reaches a terminal state.  The
+    primaries and hedges racing for those requests obey the race
+    ledger law.
     """
 
     name = "serving-conservation"
@@ -474,6 +484,7 @@ class ServingConservation:
                 f"+ failed {acc['failed']} + shed {acc['shed']} "
                 f"+ queued {acc['queued']} + in-flight {acc['inflight']}",
             ))
+        out.extend(_race_violations(self.name, now, self.gateway.stats.races))
         return out
 
 
@@ -482,11 +493,10 @@ class DagConservation:
 
     The subtask extension of :class:`TaskConservation`: at any instant
     every submitted graph is completed, failed or running (counters
-    agreeing with record states), and every stage replica ever handed to
-    the cloud is completed, failed or still live — so k-of-n
-    replication, first-result-wins cancellation, whole-graph restarts
-    and lost-frontier re-execution cannot silently drop or double-count
-    a unit of work.
+    agreeing with record states), and the stage replica races obey the
+    race ledger law — so k-of-n replication, first-result-wins
+    cancellation, whole-graph restarts and lost-frontier re-execution
+    cannot silently drop or double-count a unit of work.
     """
 
     name = "dag-conservation"
@@ -526,22 +536,7 @@ class DagConservation:
                 f"{acc['graphs_completed']} + failed {acc['graphs_failed']} "
                 f"+ running {acc['records_running']}",
             ))
-        replica_balance = (
-            acc["replicas_completed"] + acc["replicas_failed"] + acc["replicas_live"]
-        )
-        if acc["replicas_submitted"] != replica_balance:
-            out.append(_violation(
-                self.name, now,
-                f"replicas submitted {acc['replicas_submitted']} != completed "
-                f"{acc['replicas_completed']} + failed {acc['replicas_failed']} "
-                f"+ live {acc['replicas_live']}",
-            ))
-        if acc["replicas_live"] != acc["replica_index"]:
-            out.append(_violation(
-                self.name, now,
-                f"live replicas on stages {acc['replicas_live']} != replica "
-                f"index entries {acc['replica_index']}",
-            ))
+        out.extend(_race_violations(self.name, now, self.scheduler.stats.races))
         return out
 
 class TierConservation:
@@ -549,12 +544,11 @@ class TierConservation:
 
     The cross-tier extension of :class:`TaskConservation`: at any
     instant ``submitted = completed + failed + live`` at the task level,
-    ``attempts = won + cancelled + failed + late + live`` at the replica
-    level, ``completed == attempts won`` (exactly one winner per
-    resolved task), and per task no resolved speculation holds more than
-    one uncancelled completion or any loser left neither terminal nor
-    cancelled.  A mismatch means first-result-wins across a lossy
-    backhaul double-counted a result or dropped a replica silently.
+    with ``live`` the races still undecided, ``completed == attempts
+    won`` (exactly one winner per resolved task), and the attempt races
+    obey the race ledger law.  A mismatch means first-result-wins
+    across a lossy backhaul double-counted a result or dropped a replica
+    silently.
     """
 
     name = "tier-conservation"
@@ -571,47 +565,11 @@ class TierConservation:
                 f"tasks submitted {acc['submitted']} != completed "
                 f"{acc['completed']} + failed {acc['failed']} + live {acc['live']}",
             ))
-        if acc["live"] < 0 or acc["attempts_live"] < 0:
-            out.append(_violation(
-                self.name, now,
-                f"negative live counts (tasks {acc['live']}, "
-                f"attempts {acc['attempts_live']})",
-            ))
-        attempt_balance = (
-            acc["attempts_won"] + acc["attempts_cancelled"]
-            + acc["attempts_failed"] + acc["attempts_late"] + acc["attempts_live"]
-        )
-        if acc["attempts_submitted"] != attempt_balance:
-            out.append(_violation(
-                self.name, now,
-                f"attempts submitted {acc['attempts_submitted']} != won "
-                f"{acc['attempts_won']} + cancelled {acc['attempts_cancelled']} "
-                f"+ failed {acc['attempts_failed']} + late {acc['attempts_late']} "
-                f"+ live {acc['attempts_live']}",
-            ))
         if acc["completed"] != acc["attempts_won"]:
             out.append(_violation(
                 self.name, now,
                 f"completed tasks {acc['completed']} != winning attempts "
                 f"{acc['attempts_won']} (a task must have exactly one winner)",
             ))
-        for entry in self.offloader.speculation_view():
-            if entry["winners"] > 1:
-                out.append(_violation(
-                    self.name, now,
-                    f"task {entry['task_id']} has {entry['winners']} uncancelled "
-                    f"winners",
-                ))
-            if entry["resolved"] and entry["outcome"] == "completed" and entry["winners"] == 0:
-                out.append(_violation(
-                    self.name, now,
-                    f"task {entry['task_id']} resolved completed without a winner",
-                ))
-            if entry["unreconciled"]:
-                out.append(_violation(
-                    self.name, now,
-                    f"task {entry['task_id']} resolved with "
-                    f"{entry['unreconciled']} losers neither terminal nor "
-                    f"cancelled",
-                ))
+        out.extend(_race_violations(self.name, now, self.offloader.stats.races))
         return out

@@ -10,8 +10,9 @@ allocator/lease machinery, and makes the execution survive worker churn:
   :class:`~repro.dag.redundancy.RedundancyPlanner` for a k-of-n replica
   count; replicas are anti-affine (a
   :class:`~repro.core.scheduler.GatedAllocator` gate keeps siblings off
-  the same worker), first acceptable result wins, and losers retire
-  through the cloud's typed ``cancel`` path as ``replica_cancelled``.
+  the same worker) and race in a :class:`~repro.core.race.Race`: first
+  result wins, and losers retire through the cloud's typed ``cancel``
+  path as ``replica_cancelled``.
 * **Checkpointed recovery** — a completed stage's intermediate output is
   checkpointed into the cloud's replicated quorum store, so a crashed or
   departed worker costs re-execution of only the lost frontier (the
@@ -30,8 +31,8 @@ allocator/lease machinery, and makes the execution survive worker churn:
 
 Conservation contract (checked by the chaos
 ``DagConservation`` invariant): at any sim instant
-``graphs_submitted == graphs_completed + graphs_failed + running`` and
-``replicas_submitted == replicas_completed + replicas_failed + live``.
+``graphs_submitted == graphs_completed + graphs_failed + running``, and
+the replica races obey the :class:`~repro.core.race.RaceLedger` law.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.capacity import BacklogEstimator
+from ..core.race import Race, RaceLedger, ledger_count
 from ..core.scheduler import GatedAllocator, WorkerCandidate, candidates_from_pool
 from ..core.tasks import Task, TaskRecord, TaskState
 from ..core.vcloud import VehicularCloud
@@ -63,8 +65,8 @@ class _StageRun:
     spec: StageSpec
     status: StageStatus = StageStatus.PENDING
     attempts: int = 0
-    #: Live replica records, task_id -> record.
-    replicas: Dict[str, TaskRecord] = field(default_factory=dict)
+    #: The replicas racing for the current attempt.
+    race: Optional[Race] = None
     #: Worker holding the (un-checkpointed) output, None when durable.
     output_home: Optional[str] = None
     output_checkpointed: bool = False
@@ -118,6 +120,8 @@ class GraphRecord:
 class DagStats:
     """Aggregate outcomes of one scheduler's graph stream."""
 
+    #: Every stage attempt's replica race.
+    races: RaceLedger
     graphs_submitted: int = 0
     graphs_completed: int = 0
     graphs_failed: int = 0
@@ -126,10 +130,6 @@ class DagStats:
     stages_completed: int = 0
     stages_reexecuted: int = 0
     graph_restarts: int = 0
-    replicas_submitted: int = 0
-    replicas_completed: int = 0
-    replicas_failed: int = 0
-    replicas_cancelled: int = 0
     #: Replicas the survival-only rule wanted but load pressure withheld.
     replicas_load_shed: int = 0
     redundant_dispatches: int = 0
@@ -139,6 +139,9 @@ class DagStats:
     deadline_hits: int = 0
     deadline_misses: int = 0
     graph_latencies_s: List[float] = field(default_factory=list)
+
+    replicas_submitted = ledger_count("launched")
+    replicas_cancelled = ledger_count("cancelled")
 
     @property
     def completion_rate(self) -> float:
@@ -203,10 +206,17 @@ class DagScheduler:
             # Replicas the cloud has accepted but not yet placed on a
             # worker are queued work only this scheduler knows about.
             backlog.add_backlog_source(self._pending_replica_work_mi)
-        self.stats = DagStats()
+        self.stats = DagStats(
+            races=RaceLedger(
+                REPLICA_CANCELLED,
+                on_won=self._complete_stage,
+                on_lost=self._on_stage_exhausted,
+                on_settled=self._on_replica_settled,
+            )
+        )
         self.records: List[GraphRecord] = []
-        #: replica task_id -> (graph record, stage name)
-        self._replica_index: Dict[str, Tuple[GraphRecord, str]] = {}
+        #: live replica task_id -> the race it runs in
+        self._replica_index: Dict[str, Race] = {}
         self._graph_listeners: List[Callable[[GraphRecord, str], None]] = []
         # Sibling replicas must land on distinct workers; the gate keeps
         # the cloud's own allocator ranking for everything it admits.
@@ -303,20 +313,15 @@ class DagScheduler:
     # -- dispatch ------------------------------------------------------------
 
     def _gate(self, task: Task, candidate: WorkerCandidate) -> bool:
-        entry = self._replica_index.get(task.task_id)
-        if entry is None:
+        race = self._replica_index.get(task.task_id)
+        if race is None:
             return True
-        graph_record, stage_name = entry
-        stage = graph_record.stages[stage_name]
-        for sibling_id, sibling in stage.replicas.items():
-            if sibling_id == task.task_id:
-                continue
-            if sibling.worker_id == candidate.vehicle_id and sibling.state in (
-                TaskState.ASSIGNED,
-                TaskState.RUNNING,
-            ):
-                return False
-        return True
+        return not any(
+            sibling.task is not task
+            and sibling.worker_id == candidate.vehicle_id
+            and sibling.state in (TaskState.ASSIGNED, TaskState.RUNNING)
+            for sibling in race.live
+        )
 
     def _remaining_budget_s(self, record: GraphRecord) -> Optional[float]:
         deadline_at = record.deadline_at()
@@ -362,7 +367,8 @@ class DagScheduler:
             for record in self.records
             if record.state is GraphState.RUNNING
             for run in record.stages.values()
-            for replica in run.replicas.values()
+            if run.race is not None
+            for replica in run.race.live
             if replica.worker_id is None
         )
 
@@ -449,16 +455,14 @@ class DagScheduler:
                 )
             if stage.last_plan.load_shed:
                 stage.span.attrs["load_shed"] = stage.last_plan.load_shed
-        # The positive-budget guard above means the cloud cannot fail a
-        # replica synchronously inside submit (its failure paths are all
-        # scheduled), so registering after submit is race-free.
-        for index in range(replicas):
-            task = probe if index == 0 else self._stage_task(record, stage, remaining)
-            submitted = self.cloud.submit(task, trace_parent=stage.span)
-            stage.replicas[task.task_id] = submitted
-            self._replica_index[task.task_id] = (record, stage.spec.name)
-            self.stats.replicas_submitted += 1
-            self._metric("replicas_submitted")
+        tasks = [probe] + [
+            self._stage_task(record, stage, remaining) for _ in range(replicas - 1)
+        ]
+        race = stage.race = Race(self.stats.races, (record, stage))
+        race.launch(
+            (self.cloud, lambda task=task: self._submit_replica(race, task, stage.span))
+            for task in tasks
+        )
         self._emit(
             "stage_dispatched",
             graph_id=record.graph.graph_id,
@@ -466,6 +470,11 @@ class DagScheduler:
             attempt=stage.attempts,
             replicas=replicas,
         )
+
+    def _submit_replica(self, race: Race, task: Task, span: Optional["Span"]) -> TaskRecord:
+        self._replica_index[task.task_id] = race
+        self._metric("replicas_submitted")
+        return self.cloud.submit(task, trace_parent=span)
 
     def _stage_task(
         self, record: GraphRecord, stage: _StageRun, remaining_s: Optional[float]
@@ -482,43 +491,22 @@ class DagScheduler:
     # -- replica outcomes ----------------------------------------------------
 
     def _on_task_finished(self, task_record: TaskRecord, reason: str) -> None:
-        entry = self._replica_index.pop(task_record.task.task_id, None)
-        if entry is None:
-            return  # not a DAG replica (direct cloud submission)
-        record, stage_name = entry
-        stage = record.stages[stage_name]
-        stage.replicas.pop(task_record.task.task_id, None)
-        if reason == "completed":
-            self.stats.replicas_completed += 1
-            self._metric("replicas_completed")
-            if (
-                record.state is not GraphState.RUNNING
-                or stage.status is not StageStatus.RUNNING
-            ):
-                return  # late result after a sibling already won
-            self._complete_stage(record, stage, task_record)
-            return
-        self.stats.replicas_failed += 1
-        self._metric("replicas_failed")
-        if reason == REPLICA_CANCELLED:
-            self.stats.replicas_cancelled += 1
-        if record.state is not GraphState.RUNNING or stage.status is not StageStatus.RUNNING:
-            return
-        if stage.replicas:
-            return  # siblings still racing
-        self._on_stage_exhausted(record, stage, reason)
+        race = self._replica_index.pop(task_record.task.task_id, None)
+        if race is not None:  # else not a DAG replica (direct cloud submission)
+            race.settle(task_record, reason)
+
+    def _on_replica_settled(self, replica: TaskRecord, outcome: str, reason: str) -> None:
+        self._metric("replicas_completed" if reason == "completed" else "replicas_failed")
 
     def _complete_stage(
-        self, record: GraphRecord, stage: _StageRun, winner: TaskRecord
+        self, run: Tuple[GraphRecord, _StageRun], winner: TaskRecord
     ) -> None:
+        """First result wins; the race already asked the losers to cancel."""
+        record, stage = run
         stage.status = StageStatus.COMPLETED
         stage.completed_at = self.world.now
         self.stats.stages_completed += 1
         self._metric("stages_completed")
-        # First result wins: retire the losing replicas through the
-        # cloud's typed cancel path so nothing fails silently.
-        for loser in list(stage.replicas.values()):
-            self.cloud.cancel(loser, REPLICA_CANCELLED)
         self._checkpoint_output(record, stage, winner)
         tracer = self.world.tracer
         if tracer is not None and stage.span is not None:
@@ -589,9 +577,10 @@ class DagScheduler:
     # -- failure handling ----------------------------------------------------
 
     def _on_stage_exhausted(
-        self, record: GraphRecord, stage: _StageRun, reason: str
+        self, run: Tuple[GraphRecord, _StageRun], reason: Optional[str]
     ) -> None:
         """Every replica of a running stage failed without a winner."""
+        record, stage = run
         remaining = self._remaining_budget_s(record)
         if reason == "deadline" or (remaining is not None and remaining <= 0):
             self._end_stage_span(stage, "failed", reason="deadline")
@@ -624,8 +613,8 @@ class DagScheduler:
         self.stats.graph_restarts += 1
         self._metric("graph_restarts")
         for run in record.stages.values():
-            for replica in list(run.replicas.values()):
-                self.cloud.cancel(replica, REPLICA_CANCELLED)
+            if run.race is not None:
+                run.race.abort()
             if run.status is StageStatus.COMPLETED:
                 record.stages_reexecuted += 1
                 self.stats.stages_reexecuted += 1
@@ -657,8 +646,8 @@ class DagScheduler:
         )
         self._metric(f"graph_failures/{reason}")
         for run in record.stages.values():
-            for replica in list(run.replicas.values()):
-                self.cloud.cancel(replica, REPLICA_CANCELLED)
+            if run.race is not None:
+                run.race.abort()
             if run.status is StageStatus.RUNNING:
                 run.status = StageStatus.FAILED
             self._end_stage_span(run, "failed", reason=reason)
@@ -764,7 +753,7 @@ class DagScheduler:
         """
         completed = sum(1 for r in self.records if r.state is GraphState.COMPLETED)
         failed = sum(1 for r in self.records if r.state is GraphState.FAILED)
-        live = sum(len(run.replicas) for r in self.records for run in r.stages.values())
+        races = self.stats.races
         return {
             "graphs_submitted": self.stats.graphs_submitted,
             "graph_records": len(self.records),
@@ -773,16 +762,8 @@ class DagScheduler:
             "records_completed": completed,
             "records_failed": failed,
             "records_running": len(self.records) - completed - failed,
-            "replicas_submitted": self.stats.replicas_submitted,
-            "replicas_completed": self.stats.replicas_completed,
-            "replicas_failed": self.stats.replicas_failed,
-            "replicas_live": live,
-            "replica_index": len(self._replica_index),
+            "replicas_submitted": races.launched,
+            "replicas_completed": races.won + races.late,
+            "replicas_failed": races.failed + races.cancelled,
+            "replicas_live": races.live(),
         }
-
-    def replica_view(self) -> List[Tuple[str, str, str]]:
-        """``(task_id, graph_id, stage)`` per live replica, sorted."""
-        return sorted(
-            (task_id, record.graph.graph_id, stage_name)
-            for task_id, (record, stage_name) in self._replica_index.items()
-        )

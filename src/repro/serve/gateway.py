@@ -13,8 +13,9 @@ protection lives:
 * per-worker circuit breakers and hedge anti-affinity constrain the
   cloud's allocator through a :class:`~repro.core.scheduler.GatedAllocator`;
 * laggard primaries get a deadline-aware hedge replica on a different
-  worker — first result wins, the loser is cancelled through the
-  cloud's typed-failure ledger (``hedge_cancelled``);
+  worker; primary and hedge race in a :class:`~repro.core.race.Race` —
+  first result wins, the loser is cancelled through the cloud's
+  typed-failure ledger (``hedge_cancelled``);
 * with ``tiering=`` set, admitted requests route through a
   :class:`~repro.tier.offloader.TieredOffloader` instead of straight
   into the cloud: deadline-carrying requests speculate across the local
@@ -29,8 +30,8 @@ baseline that experiment E16 contrasts with the protected stack.
 Accounting is conservation-checked (see :meth:`accounting`): at any
 instant ``offered == admitted + rejected`` and
 ``admitted == completed + failed + shed + queued + in-flight``; the
-chaos invariant ``ServingConservation`` asserts exactly this while
-fault campaigns run.
+chaos invariant ``ServingConservation`` asserts exactly this, and the
+race ledger's law over primaries and hedges, while fault campaigns run.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..core.capacity import BacklogEstimator
+from ..core.race import CANCELLED, FAILED, Race, RaceLedger, ledger_count
 from ..core.scheduler import GatedAllocator, WorkerCandidate
-from ..core.tasks import Task, TaskRecord, TaskState
+from ..core.tasks import Task, TaskRecord
 from ..core.vcloud import VehicularCloud
 from ..dag.graph import TaskGraph
 from ..dag.scheduler import DagScheduler, GraphRecord
@@ -70,6 +72,8 @@ class ServeStats:
     is what the client experiences and what the SLO is judged against.
     """
 
+    #: Every dispatch's primary/hedge race.
+    races: RaceLedger
     offered: int = 0
     admitted: int = 0
     rejected: int = 0
@@ -80,7 +84,6 @@ class ServeStats:
     slo_misses: int = 0
     hedges_launched: int = 0
     hedges_won: int = 0
-    hedges_cancelled: int = 0
     #: Coalesced dispatches (>= 2 members) and the requests they carried.
     batches_dispatched: int = 0
     batched_requests: int = 0
@@ -93,6 +96,9 @@ class ServeStats:
     shed_reasons: Dict[str, int] = field(default_factory=dict)
     latencies_s: List[float] = field(default_factory=list)
     tenant_latencies_s: Dict[str, List[float]] = field(default_factory=dict)
+
+    #: Race losers retired as ``hedge_cancelled``, primaries or hedges.
+    hedges_cancelled = ledger_count("cancelled")
 
     @property
     def slo_miss_rate(self) -> float:
@@ -126,25 +132,17 @@ class _Dispatch:
     carries several (``members``), all completing or failing with the
     one cloud task while keeping per-member latency/SLO accounting.
     ``request`` is the anchor (first member) either way.  A tiered
-    dispatch has no direct cloud record (``record`` is None) — the
-    offloader owns the cross-tier replicas and reports back once.
+    dispatch has no race of its own (``race`` is None) — the offloader
+    owns the cross-tier replicas and reports back once.
     """
 
     request: ServiceRequest
-    record: Optional[TaskRecord]
     dispatched_at: float
-    task_id: str = ""
-    members: List[ServiceRequest] = field(default_factory=list)
+    task_id: str
+    members: List[ServiceRequest]
     hedge_check: Optional[EventHandle] = None
-    hedge_record: Optional[TaskRecord] = None
-    primary_failed: bool = False
-    finalized: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            self.members = [self.request]
-        if not self.task_id and self.record is not None:
-            self.task_id = self.record.task.task_id
+    #: The primary (first handle) and any hedge, first result wins.
+    race: Optional[Race] = None
 
 
 class ServiceGateway:
@@ -218,11 +216,18 @@ class ServiceGateway:
             # about; registering it lets the DAG redundancy planner see
             # the load the serving path is creating (and vice versa).
             backlog.add_backlog_source(lambda: self.queue.queued_work_mi)
-        self.stats = ServeStats()
+        self.stats = ServeStats(
+            races=RaceLedger(
+                "hedge_cancelled",
+                on_won=self._finalize_success,
+                on_lost=self._finalize_failure,
+                on_settled=self._on_attempt_settled,
+            )
+        )
         self.latency_tracker = LatencyQuantileTracker()
         self._inflight: Dict[str, _Dispatch] = {}  # primary task_id -> dispatch
-        self._hedge_index: Dict[str, str] = {}  # hedge task_id -> primary task_id
-        self._anti_affinity: Dict[str, set] = {}  # task_id -> banned worker ids
+        self._attempts: Dict[str, Race] = {}  # live primary/hedge task_id -> race
+        self._anti_affinity: Dict[str, set] = {}  # live hedge task_id -> banned workers
         self._tenant_inflight: Dict[str, int] = {}
         self._tick_task: Optional[PeriodicTask] = None
         self.dag = dag
@@ -538,21 +543,31 @@ class ServiceGateway:
                 # hand it the remaining budget so queue wait still counts.
                 remaining = max(request.arrived_at + deadline - self.world.now, 1e-6)
                 task = dataclasses.replace(task, deadline_s=remaining)
-        if self.tiering is not None:
-            self._dispatch_tiered(request, task, members)
-            return
-        record = self.cloud.submit(task)
+        # Registered before submission: a tiered dispatch may resolve
+        # synchronously (e.g. no tier at all), and the resolution must
+        # find the dispatch in flight.
         dispatch = _Dispatch(
-            request=request, record=record, dispatched_at=self.world.now,
-            members=members,
+            request=request, dispatched_at=self.world.now,
+            task_id=task.task_id, members=members,
         )
         self._inflight[task.task_id] = dispatch
         for member in members:
             self._tenant_inflight[member.tenant] = (
                 self._tenant_inflight.get(member.tenant, 0) + 1
             )
-        if self.breakers is not None and record.worker_id is not None:
-            self.breakers.note_dispatch(record.worker_id)
+        if self.tiering is not None:
+            # Deadline-carrying requests speculate (local + remote
+            # replicas, first acceptable result wins); the rest prefer
+            # local execution with failover.
+            policy = "speculate" if task.deadline_s is not None else "prefer_local"
+            self.world.metrics.increment(f"serve/{self.name}/tiered/{policy}")
+            self.tiering.submit(task, policy=policy)
+            self._update_gauges()
+            return
+        dispatch.race = Race(self.stats.races, dispatch)
+        primary = self._launch(dispatch.race, task)
+        if self.breakers is not None and primary.worker_id is not None:
+            self.breakers.note_dispatch(primary.worker_id)
         if self.hedging is not None and len(members) == 1:
             # Batches are never hedged: a hedge doubles the batch's full
             # work, exactly the load amplification batching exists to
@@ -567,59 +582,27 @@ class ServiceGateway:
             )
         self._update_gauges()
 
-    def _dispatch_tiered(
-        self, request: ServiceRequest, task: Task, members: List[ServiceRequest]
-    ) -> None:
-        """Route one admitted request through the tiered offloader.
-
-        Deadline-carrying requests speculate (local + remote replicas,
-        first acceptable result wins); the rest prefer local execution
-        with failover.  The dispatch is registered *before* submission:
-        the offloader may resolve synchronously (e.g. no tier at all),
-        and the resolution callback must find the dispatch in flight.
-        """
-        dispatch = _Dispatch(
-            request=request, record=None, dispatched_at=self.world.now,
-            task_id=task.task_id, members=members,
-        )
-        self._inflight[task.task_id] = dispatch
-        for member in members:
-            self._tenant_inflight[member.tenant] = (
-                self._tenant_inflight.get(member.tenant, 0) + 1
-            )
-        policy = "speculate" if task.deadline_s is not None else "prefer_local"
-        self.world.metrics.increment(f"serve/{self.name}/tiered/{policy}")
-        assert self.tiering is not None
-        self.tiering.submit(task, policy=policy)
-        self._update_gauges()
+    def _launch(self, race: Race, task: Task) -> TaskRecord:
+        """Submit one primary or hedge attempt to the cloud."""
+        self._attempts[task.task_id] = race
+        race.launch([(self.cloud, lambda: self.cloud.submit(task))])
+        return race.handles[-1]
 
     def _on_tier_resolved(self, spec: "SpeculativeTask", reason: str) -> None:
         dispatch = self._inflight.get(spec.task.task_id)
-        if dispatch is None or dispatch.finalized:
+        if dispatch is None:
             return  # not a gateway submission (direct offloader use)
         if reason == "completed":
-            winner = spec.winner.record if spec.winner is not None else None
-            self._finalize_success(dispatch, winner, hedge_won=False)
+            self._finalize_success(dispatch, spec.race.winner.record)
         else:
             self._finalize_failure(dispatch, reason)
 
     # -- hedging -------------------------------------------------------------
 
-    def _hedges_inflight(self) -> int:
-        return len(self._hedge_index)
-
     def _maybe_hedge(self, primary_id: str) -> None:
         dispatch = self._inflight.get(primary_id)
-        if (
-            dispatch is None
-            or dispatch.finalized
-            or dispatch.hedge_record is not None
-            or self.hedging is None
-        ):
-            return
-        record = dispatch.record
-        if record.state in (TaskState.COMPLETED, TaskState.FAILED):
-            return
+        if dispatch is None or dispatch.race is None or self.hedging is None:
+            return  # finalized meanwhile
         request = dispatch.request
         deadline = request.deadline_s
         remaining = (
@@ -629,14 +612,14 @@ class ServiceGateway:
         )
         expected = self.estimated_runtime_s(request.task.work_mi)
         if not self.hedging.may_hedge(
-            inflight_hedges=self._hedges_inflight(),
+            inflight_hedges=len(self._anti_affinity),
             queue_depth=len(self.queue),
             remaining_deadline_s=remaining,
             expected_runtime_s=expected,
         ):
             return
         workers = self.worker_ids()
-        primary_worker = record.worker_id
+        primary_worker = dispatch.race.handles[0].worker_id
         if primary_worker is None or len(workers) < 2:
             return
         hedge_task = Task(
@@ -649,8 +632,7 @@ class ServiceGateway:
         )
         # Anti-affinity: the hedge must land on a *different* worker.
         self._anti_affinity[hedge_task.task_id] = {primary_worker}
-        self._hedge_index[hedge_task.task_id] = primary_id
-        dispatch.hedge_record = self.cloud.submit(hedge_task)
+        self._launch(dispatch.race, hedge_task)
         self.stats.hedges_launched += 1
         self.world.metrics.increment(f"serve/{self.name}/hedges_launched")
         events = self.world.events
@@ -664,62 +646,24 @@ class ServiceGateway:
     # -- terminal outcomes ---------------------------------------------------
 
     def _on_cloud_finish(self, record: TaskRecord, reason: str) -> None:
-        task_id = record.task.task_id
-        primary_id = self._hedge_index.get(task_id)
-        if primary_id is not None:
-            self._on_hedge_finish(primary_id, record, reason)
-            return
-        dispatch = self._inflight.get(task_id)
-        if dispatch is None:
-            return  # not a gateway task (direct cloud submission)
-        if dispatch.finalized:
-            if reason == "hedge_cancelled":
-                # The hedge won and the primary was retired.
-                self.stats.hedges_cancelled += 1
-                self.world.metrics.increment(f"serve/{self.name}/hedges_cancelled")
-            return
-        if reason == "completed":
-            self._finalize_success(dispatch, record, hedge_won=False)
-            return
-        if self.breakers is not None and record.worker_id is not None and reason in (
-            "retries_exhausted",
-        ):
-            self.breakers.record_outcome(record.worker_id, ok=False)
-        if dispatch.hedge_record is not None and dispatch.hedge_record.state not in (
-            TaskState.COMPLETED, TaskState.FAILED,
-        ):
-            # The hedge may still win; hold the request open.
-            dispatch.primary_failed = True
-            return
-        self._finalize_failure(dispatch, reason)
+        race = self._attempts.pop(record.task.task_id, None)
+        if race is not None:  # else not a gateway task (direct cloud submission)
+            race.settle(record, reason)
 
-    def _on_hedge_finish(self, primary_id: str, record: TaskRecord, reason: str) -> None:
-        task_id = record.task.task_id
-        self._hedge_index.pop(task_id, None)
-        self._anti_affinity.pop(task_id, None)
-        dispatch = self._inflight.get(primary_id)
-        if reason == "hedge_cancelled":
-            self.stats.hedges_cancelled += 1
+    def _on_attempt_settled(self, record: TaskRecord, outcome: str, reason: str) -> None:
+        self._anti_affinity.pop(record.task.task_id, None)
+        if outcome == CANCELLED:
             self.world.metrics.increment(f"serve/{self.name}/hedges_cancelled")
-            return
-        if dispatch is None or dispatch.finalized:
-            return
-        if reason == "completed":
-            self._finalize_success(dispatch, record, hedge_won=True)
-            return
-        if self.breakers is not None and record.worker_id is not None and reason in (
-            "retries_exhausted",
+        elif (
+            outcome == FAILED
+            and reason == "retries_exhausted"
+            and self.breakers is not None
+            and record.worker_id is not None
         ):
             self.breakers.record_outcome(record.worker_id, ok=False)
-        if dispatch.primary_failed:
-            self._finalize_failure(dispatch, reason)
-        else:
-            dispatch.hedge_record = None  # primary is still live
 
-    def _finalize_success(
-        self, dispatch: _Dispatch, winner: Optional[TaskRecord], hedge_won: bool
-    ) -> None:
-        dispatch.finalized = True
+    def _finalize_success(self, dispatch: _Dispatch, winner: Optional[TaskRecord]) -> None:
+        """The request's first result is in; a racing loser was already cancelled."""
         # Every batch member completes with the shared cloud task, but
         # latency and SLO are judged per member against its own arrival.
         for member in dispatch.members:
@@ -739,7 +683,7 @@ class ServiceGateway:
             else:
                 self.stats.slo_misses += 1
                 self.world.metrics.increment(f"serve/{self.name}/slo_miss")
-        if hedge_won:
+        if dispatch.race is not None and winner is not dispatch.race.handles[0]:
             self.stats.hedges_won += 1
             self.world.metrics.increment(f"serve/{self.name}/hedges_won")
         if (
@@ -748,14 +692,9 @@ class ServiceGateway:
             and winner.worker_id is not None
         ):
             self.breakers.record_outcome(winner.worker_id, ok=True)
-        # Retire the loser through the typed ledger before cleanup.
-        loser = dispatch.record if hedge_won else dispatch.hedge_record
-        if loser is not None and loser is not winner:
-            self.cloud.cancel(loser, "hedge_cancelled")
         self._cleanup(dispatch)
 
-    def _finalize_failure(self, dispatch: _Dispatch, reason: str) -> None:
-        dispatch.finalized = True
+    def _finalize_failure(self, dispatch: _Dispatch, reason: Optional[str]) -> None:
         events = self.world.events
         # A batch fails as a unit, but every member gets its own typed
         # failure so the conservation ledger never loses a request.
@@ -771,9 +710,7 @@ class ServiceGateway:
         self._cleanup(dispatch)
 
     def _cleanup(self, dispatch: _Dispatch) -> None:
-        task_id = dispatch.task_id
-        self._inflight.pop(task_id, None)
-        self._anti_affinity.pop(task_id, None)
+        self._inflight.pop(dispatch.task_id, None)
         for member in dispatch.members:
             left = self._tenant_inflight.get(member.tenant, 0) - 1
             if left <= 0:

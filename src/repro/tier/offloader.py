@@ -7,9 +7,10 @@ task by its remaining slack and the caller's policy:
 * ``prefer_local`` — local when healthy, else fail over to the best
   healthy remote tier (a ``failover`` is ledgered);
 * ``speculate``    — for deadline-critical tasks: launch replicas on
-  the local tier **and** the best feasible remote tier simultaneously,
-  first acceptable result wins, the loser is cancelled through the
-  existing typed-cancel path (``speculation_cancelled``).
+  the local tier **and** the best feasible remote tier simultaneously;
+  they race in a :class:`~repro.core.race.Race`, first acceptable result
+  wins, the loser is cancelled through the existing typed-cancel path
+  (``speculation_cancelled``).
 
 Speculation degrades instead of stalling.  When every remote tier is
 demoted (backhaul outage, tripped breaker, no workers) the task
@@ -28,7 +29,7 @@ lifecycle so traces answer "which tier actually saved this deadline".
 Accounting is conservation-grade: each speculated task resolves to
 exactly one winner with every loser cancelled, failed, or flagged late
 — the ``TierConservation`` chaos invariant audits exactly this via
-:meth:`TieredOffloader.accounting` / :meth:`speculation_view`.
+:meth:`TieredOffloader.accounting` and the race ledger.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from ..core.race import CANCELLED, LATE, WON, Race, RaceLedger, ledger_count
 from ..core.tasks import Task
 from ..errors import ConfigurationError
 from ..sim.world import World
@@ -69,22 +71,20 @@ class SpeculativeTask:
     policy: str
     submitted_at: float
     deadline_at: Optional[float]
-    attempts: List[TierAttempt] = field(default_factory=list)
-    resolved: bool = False
-    #: ``"completed"`` or a typed failure reason, once resolved.
-    outcome: Optional[str] = None
-    winner: Optional[TierAttempt] = None
+    #: The task's attempts (:class:`TierAttempt` handles), one per tier.
+    race: Race = field(init=False, repr=False)
     resolved_at: Optional[float] = None
     #: Degradation ledgered at submit (``backhaul_degraded`` / ``no_remote_slack``).
     degraded: Optional[str] = None
     span: Optional[object] = None
-    _launching: bool = field(default=True, repr=False)
 
 
 @dataclass
 class TierStats:
     """Offloader counters, task-level and attempt-level."""
 
+    #: Every task's attempt race.
+    races: RaceLedger
     submitted: int = 0
     completed: int = 0
     failed: int = 0
@@ -95,12 +95,13 @@ class TierStats:
     failovers: int = 0
     degraded: Dict[str, int] = field(default_factory=dict)
     wins_by_tier: Dict[str, int] = field(default_factory=dict)
-    attempts_submitted: int = 0
-    attempts_won: int = 0
-    attempts_cancelled: int = 0
-    attempts_failed: int = 0
-    attempts_late: int = 0
     latency_sum_s: float = 0.0
+
+    attempts_submitted = ledger_count("launched")
+    attempts_won = ledger_count("won")
+    attempts_cancelled = ledger_count("cancelled")
+    attempts_failed = ledger_count("failed")
+    attempts_late = ledger_count("late")
 
     def mean_latency_s(self) -> float:
         return self.latency_sum_s / self.completed if self.completed else 0.0
@@ -126,8 +127,14 @@ class TieredOffloader:
         self.topology = topology
         self.health = health if health is not None else TierHealthTracker(world)
         self.name = name
-        self.stats = TierStats()
-        self._specs: Dict[str, SpeculativeTask] = {}
+        self.stats = TierStats(
+            races=RaceLedger(
+                SPECULATION_CANCELLED,
+                on_won=self._resolve,
+                on_lost=self._fail,
+                on_settled=self._on_attempt_settled,
+            )
+        )
         self._resolve_listeners: List[ResolveListener] = []
 
     # -- listener wiring -----------------------------------------------------
@@ -156,7 +163,7 @@ class TieredOffloader:
         spec = SpeculativeTask(
             task=task, policy=policy, submitted_at=now, deadline_at=deadline_at
         )
-        self._specs[task.task_id] = spec
+        spec.race = Race(self.stats.races, spec)
         self.stats.submitted += 1
         self.world.metrics.increment(f"tier/{self.name}/submitted")
         tracer = self.world.tracer
@@ -170,15 +177,9 @@ class TieredOffloader:
                     "deadline_s": task.deadline_s,
                 },
             )
-        try:
-            for tier in self._plan(spec):
-                self._launch(spec, tier)
-        finally:
-            spec._launching = False
-        if not spec.resolved and (
-            not spec.attempts or all(a.terminal for a in spec.attempts)
-        ):
-            self._fail(spec)
+        spec.race.launch(
+            (tier, lambda tier=tier: self._launch(spec, tier)) for tier in self._plan(spec)
+        )
         return spec
 
     # -- tier selection ------------------------------------------------------
@@ -253,7 +254,7 @@ class TieredOffloader:
 
     # -- attempt lifecycle ---------------------------------------------------
 
-    def _launch(self, spec: SpeculativeTask, tier: ExecutionTier) -> None:
+    def _launch(self, spec: SpeculativeTask, tier: ExecutionTier) -> TierAttempt:
         span = None
         tracer = self.world.tracer
         if tracer is not None:
@@ -264,57 +265,28 @@ class TieredOffloader:
                 attrs={"tier": tier.name, "level": tier.level},
             )
         self.health.note_dispatch(tier)
-        self.stats.attempts_submitted += 1
         self.world.metrics.increment(f"tier/{self.name}/attempts/{tier.name}")
-        attempt = tier.dispatch(
-            spec.task,
-            spec.deadline_at,
-            lambda a, reason: self._on_attempt_finish(spec, a, reason),
-            span=span,
-        )
-        if attempt not in spec.attempts:
-            spec.attempts.append(attempt)
+        return tier.dispatch(spec.task, spec.deadline_at, spec.race.settle, span=span)
 
-    def _on_attempt_finish(
-        self, spec: SpeculativeTask, attempt: TierAttempt, reason: str
-    ) -> None:
-        if attempt not in spec.attempts:
-            spec.attempts.append(attempt)  # terminated inside dispatch
-        tier = self.topology.tier(attempt.tier_name)
-        self.health.record_outcome(tier, reason)
-        if reason == "completed":
-            if attempt.cancelled or spec.resolved:
-                self.stats.attempts_late += 1
-                self.world.metrics.increment(f"tier/{self.name}/attempts_late")
-                self._end_attempt_span(attempt, "ok", late=True)
-            else:
-                self.stats.attempts_won += 1
-                self._end_attempt_span(attempt, "ok", winner=True)
-                self._resolve(spec, attempt)
-                return
-        elif attempt.cancelled:
-            self.stats.attempts_cancelled += 1
+    def _on_attempt_settled(self, attempt: TierAttempt, outcome: str, reason: str) -> None:
+        self.health.record_outcome(self.topology.tier(attempt.tier_name), reason)
+        if outcome == WON:
+            self._end_attempt_span(attempt, "ok", winner=True)
+        elif outcome == LATE:
+            self.world.metrics.increment(f"tier/{self.name}/attempts_late")
+            self._end_attempt_span(attempt, "ok", late=True)
+        elif outcome == CANCELLED:
             self.world.metrics.increment(f"tier/{self.name}/attempts_cancelled")
             self._end_attempt_span(attempt, "cancelled", reason=reason)
         else:
-            self.stats.attempts_failed += 1
             self.world.metrics.increment(
                 f"tier/{self.name}/attempt_failures/{reason}"
             )
             self._end_attempt_span(attempt, "error", reason=reason)
-        if (
-            not spec.resolved
-            and not spec._launching
-            and spec.attempts
-            and all(a.terminal for a in spec.attempts)
-        ):
-            self._fail(spec)
 
     def _resolve(self, spec: SpeculativeTask, winner: TierAttempt) -> None:
+        """First acceptable result is in; the race already cancelled the losers."""
         now = self.world.now
-        spec.resolved = True
-        spec.outcome = "completed"
-        spec.winner = winner
         spec.resolved_at = now
         self.stats.completed += 1
         self.stats.latency_sum_s += now - spec.submitted_at
@@ -330,11 +302,6 @@ class TieredOffloader:
             else:
                 self.stats.deadline_misses += 1
                 self.world.metrics.increment(f"tier/{self.name}/deadline_misses")
-        # First acceptable result is in; cancel every loser still running.
-        for other in list(spec.attempts):
-            if other is winner or other.terminal:
-                continue
-            self.topology.tier(other.tier_name).cancel(other, SPECULATION_CANCELLED)
         tracer = self.world.tracer
         if tracer is not None and spec.span is not None:
             if winner.span is not None:
@@ -353,21 +320,9 @@ class TieredOffloader:
         for listener in self._resolve_listeners:
             listener(spec, "completed")
 
-    def _fail(self, spec: SpeculativeTask) -> None:
-        # The task's outcome is the reason of the *last replica standing*
-        # (latest terminal time), skipping cancelled losers.
-        failed = sorted(
-            (
-                a
-                for a in spec.attempts
-                if a.terminal_reason not in (None, SPECULATION_CANCELLED)
-            ),
-            key=lambda a: a.finished_at if a.finished_at is not None else 0.0,
-        )
-        reason = failed[-1].terminal_reason if failed else NO_TIER_AVAILABLE
-        assert reason is not None
-        spec.resolved = True
-        spec.outcome = reason
+    def _fail(self, spec: SpeculativeTask, last_failure: Optional[str]) -> None:
+        """Every attempt failed; the reason of the last one standing is the task's."""
+        reason = last_failure if last_failure is not None else NO_TIER_AVAILABLE
         spec.resolved_at = self.world.now
         self.stats.failed += 1
         self.stats.failure_reasons[reason] = (
@@ -405,59 +360,22 @@ class TieredOffloader:
         """Task- and attempt-stream conservation counters.
 
         At any sim instant ``submitted == completed + failed + live``
-        and ``attempts_submitted == won + cancelled + failed + late +
-        live`` must hold, and ``completed == attempts_won`` (exactly one
-        winner per resolved task).  ``TierConservation`` checks these.
+        (``live`` counted from the races still undecided) and
+        ``completed == attempts_won`` (exactly one winner per resolved
+        task) must hold; ``TierConservation`` checks these next to the
+        race ledger's own law.
         """
         s = self.stats
-        live = s.submitted - s.completed - s.failed
-        attempts_live = (
-            s.attempts_submitted
-            - s.attempts_won
-            - s.attempts_cancelled
-            - s.attempts_failed
-            - s.attempts_late
-        )
         return {
             "submitted": s.submitted,
             "completed": s.completed,
             "failed": s.failed,
-            "live": live,
+            # An undecided race always holds a live attempt.
+            "live": sum(1 for race in s.races.open if not race.decided),
             "attempts_submitted": s.attempts_submitted,
             "attempts_won": s.attempts_won,
             "attempts_cancelled": s.attempts_cancelled,
             "attempts_failed": s.attempts_failed,
             "attempts_late": s.attempts_late,
-            "attempts_live": attempts_live,
+            "attempts_live": s.races.live(),
         }
-
-    def speculation_view(self) -> List[Dict[str, object]]:
-        """Per-task winner/loser reconciliation for the invariant."""
-        view: List[Dict[str, object]] = []
-        for spec in self._specs.values():
-            winners = sum(
-                1
-                for a in spec.attempts
-                if a.terminal_reason == "completed" and not a.cancelled
-            )
-            unreconciled = (
-                sum(1 for a in spec.attempts if not a.terminal and not a.cancelled)
-                if spec.resolved
-                else 0
-            )
-            view.append(
-                {
-                    "task_id": spec.task.task_id,
-                    "policy": spec.policy,
-                    "resolved": spec.resolved,
-                    "outcome": spec.outcome,
-                    "attempts": len(spec.attempts),
-                    "winners": winners,
-                    "unreconciled": unreconciled,
-                }
-            )
-        return view
-
-    def specs(self) -> List[SpeculativeTask]:
-        """Every submitted task's spec, in submission order."""
-        return list(self._specs.values())

@@ -74,8 +74,6 @@ class TierAttempt:
     #: can still complete late if its result frame was already in flight.
     cancelled: bool = False
     terminal_reason: Optional[str] = None
-    #: Sim time the terminal reason landed (None while live).
-    finished_at: Optional[float] = None
     #: The local execution record (v-cloud tiers only, post-uplink).
     record: Optional[TaskRecord] = None
     span: Optional["Span"] = None
@@ -171,7 +169,6 @@ class _LinkedTier(ExecutionTier):
         if attempt.terminal:
             return
         attempt.terminal_reason = reason
-        attempt.finished_at = self.world.now
         if attempt._on_finish is not None:
             attempt._on_finish(attempt, reason)
 

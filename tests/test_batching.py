@@ -175,7 +175,7 @@ class TestBatchDispatch:
         world.run_until(4.5)  # batch in flight
         dispatch = next(iter(gateway._inflight.values()))
         assert len(dispatch.members) == 3
-        cloud.cancel(dispatch.record, "test_fault")
+        cloud.cancel(dispatch.race.handles[0], "test_fault")
         assert gateway.stats.failed == 3
         assert_conserved(gateway)
 

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from repro.chaos import DagConservation, InvariantSuite, TaskConservation
+from repro.core.race import Race
 from repro.core import (
     BackoffPolicy,
     CheckpointHandoverPolicy,
@@ -32,7 +33,7 @@ from repro.dag import (
 from repro.errors import ConfigurationError
 from repro.faults import FaultInjector, FaultPlan
 from repro.geometry import Vec2
-from repro.mobility import StationaryModel
+from repro.mobility import SensorKind, StationaryModel
 
 from repro.sim import ScenarioConfig, SeededRng, World
 
@@ -375,7 +376,7 @@ class TestRedundantExecution:
         record = scheduler.submit(chain([1000.0], deadline_s=120.0))
         world.run_for(2.0)
         stage = record.stages["s0"]
-        workers = [r.worker_id for r in stage.replicas.values() if r.worker_id]
+        workers = [r.worker_id for r in stage.race.live if r.worker_id]
         assert len(workers) >= 2
         assert len(set(workers)) == len(workers)
 
@@ -387,7 +388,7 @@ class TestChurnRecovery:
         record = scheduler.submit(chain([2000.0, 2000.0], deadline_s=200.0))
         world.run_for(5.0)
         stage = record.stages["s0"]
-        (worker,) = {r.worker_id for r in stage.replicas.values() if r.worker_id}
+        (worker,) = {r.worker_id for r in stage.race.live if r.worker_id}
         plan = FaultPlan(3).crash(6.0, target=worker)
         FaultInjector(world, plan, cloud=cloud).arm()
         world.run_for(200.0)
@@ -424,9 +425,7 @@ class TestChurnRecovery:
         s0 = record.stages["s0"]
         assert s0.status is StageStatus.COMPLETED
         assert s0.output_checkpointed
-        survivors = [
-            r for r in scheduler.records[0].stages["s1"].replicas.values()
-        ]
+        survivors = scheduler.records[0].stages["s1"].race.live
         # Departing *any* member never resets a checkpointed stage.
         for member in list(cloud.membership.member_ids()):
             if all(r.worker_id != member for r in survivors):
@@ -483,6 +482,31 @@ class TestGraphFailure:
         world.run_for(500.0)
         assert record.state is GraphState.COMPLETED
 
+    def test_restart_cancels_siblings_without_cascading(self, world):
+        """A whole-graph restart cancels the sibling stages' replicas;
+        those cancellations must not count as further stage failures
+        (each would restart the graph again from inside the restart)."""
+        model = StationaryModel(world, positions=[Vec2(i * 40.0, 0) for i in range(5)])
+        cloud = VehicularCloud(world, "restart-vc", max_assignment_retries=2)
+        for vehicle in model.populate(5):
+            cloud.admit(
+                vehicle, offer=ResourceOffer(vehicle.vehicle_id, 100.0, 10**9, 1e6)
+            )
+        scheduler = DagScheduler(world, cloud, checkpointing=False, max_stage_attempts=3)
+        record = scheduler.submit(TaskGraph(stages=(
+            StageSpec(name="a", work_mi=5000.0),
+            StageSpec(name="b", work_mi=5000.0),
+            # No member offers lidar: this stage fails once retries run out.
+            StageSpec(
+                name="lidar", work_mi=100.0,
+                required_sensors=frozenset({SensorKind.LIDAR}),
+            ),
+        )))
+        world.run_until(3.0)
+        assert record.restarts == 1
+        assert record.state is GraphState.RUNNING
+        assert {run.attempts for run in record.stages.values()} == {2}
+
 
 class TestDagConservationInvariant:
     def test_holds_through_churn_run(self, world):
@@ -518,6 +542,44 @@ class TestDagConservationInvariant:
         violations = invariant.check(world.now)
         assert violations
         assert any("completed" in v.message for v in violations)
+
+    def _replicated_stage(self, world, on_finished=None):
+        """One stage raced by replicas on heterogeneous workers."""
+        _v, cloud = build_cloud(world, members=6, heterogeneous=True)
+        scheduler = DagScheduler(
+            world,
+            cloud,
+            reliability=ReliabilityEstimator(
+                cloud, prior_events=50.0, prior_exposure_s=100.0
+            ),
+            redundancy=RedundancyPlanner(target_success=0.99, max_replicas=3),
+            checkpointing=True,
+        )
+        if on_finished is not None:
+            scheduler.on_graph_finished(on_finished)
+        scheduler.submit(chain([1000.0], deadline_s=120.0))
+        return scheduler
+
+    def test_flags_a_corrupted_replica_ledger(self, world):
+        scheduler = self._replicated_stage(world)
+        world.run_for(120.0)
+        invariant = DagConservation(scheduler)
+        assert scheduler.stats.replicas_cancelled >= 1
+        assert invariant.check(world.now) == []
+        scheduler.stats.races.late += 1  # one replica counted twice
+        assert any("attempts launched" in v.message for v in invariant.check(world.now))
+
+    def test_flags_a_loser_never_asked_to_cancel(self, world, monkeypatch):
+        monkeypatch.setattr(Race, "_cancel_live", lambda race: None)
+        seen = []
+        scheduler = self._replicated_stage(
+            world,
+            on_finished=lambda r, reason: seen.extend(
+                DagConservation(scheduler).check(world.now)
+            ),
+        )
+        world.run_for(120.0)
+        assert any("never asked to cancel" in v.message for v in seen)
 
 
 class TestServeIntegration:

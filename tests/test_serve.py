@@ -12,6 +12,8 @@ from repro.core import (
     Task,
     VehicularCloud,
 )
+from repro.chaos import ServingConservation
+from repro.core.race import Race
 from repro.core.scheduler import WorkerCandidate
 from repro.core.tasks import TaskState, reset_task_ids
 from repro.errors import ConfigurationError
@@ -422,7 +424,7 @@ class TestHedging:
         )
         gateway.submit(request(work_mi=400.0, deadline_s=60.0))  # ~4 s compute
         world.run_until(0.5)
-        primary = next(iter(gateway._inflight.values())).record
+        primary = next(iter(gateway._inflight.values())).race.handles[0]
         assert primary.worker_id is not None
         cloud.stall_worker(primary.worker_id, 30.0)
         world.run_until(30.0)
@@ -440,6 +442,33 @@ class TestHedging:
         assert primary.worker_id not in hedge_workers
         acc = gateway.accounting()
         assert acc["admitted"] == acc["completed"]
+
+    def _hedged_past_stalled_primary(self):
+        world, _v, cloud = build_cloud(members=3)
+        gateway = ServiceGateway(
+            world, cloud, name="gw", queue_capacity=8,
+            hedging=HedgePolicy(quantile=0.9, fallback_factor=1.5),
+        )
+        gateway.submit(request(work_mi=400.0, deadline_s=60.0))
+        world.run_until(0.5)
+        primary = next(iter(gateway._inflight.values())).race.handles[0]
+        cloud.stall_worker(primary.worker_id, 30.0)
+        world.run_until(20.0)
+        assert gateway.stats.hedges_won == 1
+        return world, gateway
+
+    def test_serving_conservation_flags_a_corrupted_race_ledger(self):
+        world, gateway = self._hedged_past_stalled_primary()
+        invariant = ServingConservation(gateway)
+        assert invariant.check(world.now) == []
+        gateway.stats.races.failed += 1  # one attempt counted twice
+        assert any("attempts launched" in v.message for v in invariant.check(world.now))
+
+    def test_serving_conservation_flags_a_loser_never_asked_to_cancel(self, monkeypatch):
+        monkeypatch.setattr(Race, "_cancel_live", lambda race: None)
+        world, gateway = self._hedged_past_stalled_primary()  # primary still stalled
+        violations = ServingConservation(gateway).check(world.now)
+        assert any("never asked to cancel" in v.message for v in violations)
 
     def test_fast_primary_cancels_hedge_check(self):
         world, _v, cloud = build_cloud(members=3)

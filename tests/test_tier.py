@@ -22,6 +22,7 @@ from repro.core import (
     Task,
     VehicularCloud,
 )
+from repro.core.race import Race
 from repro.core.tasks import TaskState, reset_task_ids
 from repro.errors import ConfigurationError
 from repro.faults.backhaul import BackhaulFaultDriver
@@ -244,11 +245,11 @@ class TestSpeculation:
         spec = b.offloader.submit(
             Task(work_mi=1_000.0, deadline_s=10.0), policy="speculate"
         )
-        assert len(spec.attempts) == 2
+        assert len(spec.race.handles) == 2
         b.world.run_until(20.0)
-        assert spec.resolved and spec.outcome == "completed"
-        assert spec.winner is not None and spec.winner.tier_name == "central"
-        local_attempt = next(a for a in spec.attempts if a.tier_name == "local")
+        assert spec.race.decided and spec.race.winner is not None
+        assert spec.race.winner is not None and spec.race.winner.tier_name == "central"
+        local_attempt = next(a for a in spec.race.handles if a.tier_name == "local")
         assert local_attempt.cancelled
         assert local_attempt.terminal_reason == SPECULATION_CANCELLED
         assert b.cloud.stats.failure_reasons == {SPECULATION_CANCELLED: 1}
@@ -266,9 +267,9 @@ class TestSpeculation:
         spec = b.offloader.submit(
             Task(work_mi=1_000.0, deadline_s=8.0), policy="speculate"
         )
-        assert len(spec.attempts) == 2
+        assert len(spec.race.handles) == 2
         b.world.run_until(30.0)
-        assert spec.winner is not None and spec.winner.tier_name == "local"
+        assert spec.race.winner is not None and spec.race.winner.tier_name == "local"
         assert b.offloader.stats.wins_by_tier == {"local": 1}
         assert_conserved(b.offloader, b.world.now)
 
@@ -281,12 +282,12 @@ class TestSpeculation:
             Task(work_mi=100.0, deadline_s=5.0), policy="speculate"
         )
         b.world.run_until(30.0)
-        assert spec.resolved
-        remote_attempt = next(a for a in spec.attempts if a.tier_name == "central")
-        local_attempt = next(a for a in spec.attempts if a.tier_name == "local")
+        assert spec.race.decided
+        remote_attempt = next(a for a in spec.race.handles if a.tier_name == "central")
+        local_attempt = next(a for a in spec.race.handles if a.tier_name == "local")
         assert remote_attempt.terminal_reason == BACKHAUL_LOST
         assert local_attempt.terminal_reason == "deadline"
-        assert spec.outcome == "deadline"
+        assert spec.race.last_failure == "deadline"
         stats = b.offloader.stats
         assert stats.failed == 1 and stats.completed == 0
         assert stats.failure_reasons == {"deadline": 1}
@@ -310,8 +311,8 @@ class TestSpeculation:
             Task(work_mi=1_000.0, deadline_s=10.0), policy="speculate"
         )
         b.world.run_until(3.0)
-        assert spec.resolved and spec.outcome == "completed"
-        assert spec.winner is not None and spec.winner.tier_name == "central"
+        assert spec.race.decided and spec.race.winner is not None
+        assert spec.race.winner is not None and spec.race.winner.tier_name == "central"
         assert spec.resolved_at is not None and 1.2 < spec.resolved_at < 6.2
         assert not b.link.available()  # the link was dark when it won
         assert b.link.loss_reasons == {}
@@ -329,8 +330,8 @@ class TestSpeculation:
             Task(work_mi=1_000.0, deadline_s=10.0), policy="speculate"
         )
         b.world.run_until(20.0)
-        assert spec.winner is not None and spec.winner.tier_name == "local"
-        remote_attempt = next(a for a in spec.attempts if a.tier_name == "central")
+        assert spec.race.winner is not None and spec.race.winner.tier_name == "local"
+        remote_attempt = next(a for a in spec.race.handles if a.tier_name == "central")
         assert remote_attempt.terminal_reason == BACKHAUL_LOST
         assert b.link.loss_reasons == {"outage": 1}
         assert b.offloader.stats.deadline_hits == 1
@@ -348,7 +349,7 @@ class TestSpeculation:
         spec = b.offloader.submit(
             Task(work_mi=1_000.0, deadline_s=15.0), policy="speculate"
         )
-        local_attempt = next(a for a in spec.attempts if a.tier_name == "local")
+        local_attempt = next(a for a in spec.race.handles if a.tier_name == "local")
         assert local_attempt.record is not None
         worker = local_attempt.record.worker_id
         assert worker is not None
@@ -363,7 +364,7 @@ class TestSpeculation:
         # The remote wins (~2.1s) while the local replica is still parked
         # in handover; the cancel must retire it cleanly.
         b.world.run_until(30.0)
-        assert spec.winner is not None and spec.winner.tier_name == "central"
+        assert spec.race.winner is not None and spec.race.winner.tier_name == "central"
         assert local_attempt.cancelled
         assert local_attempt.terminal_reason == SPECULATION_CANCELLED
         assert local_attempt.record.state is TaskState.FAILED
@@ -382,7 +383,7 @@ class TestSpeculation:
         # Collapse decided at submit: one local attempt, nothing on the
         # wire, nothing pending remotely.
         assert spec.degraded == NO_REMOTE_SLACK
-        assert [a.tier_name for a in spec.attempts] == ["local"]
+        assert [a.tier_name for a in spec.race.handles] == ["local"]
         assert b.link.sent == 0
         assert b.central.pending_requests() == 0
         b.world.run_until(10.0)
@@ -390,7 +391,7 @@ class TestSpeculation:
         assert stats.speculated == 0
         assert stats.degraded == {NO_REMOTE_SLACK: 1}
         assert stats.deadline_hits == 1
-        assert spec.winner is not None and spec.winner.tier_name == "local"
+        assert spec.race.winner is not None and spec.race.winner.tier_name == "local"
         assert_conserved(b.offloader, b.world.now)
 
     def test_backhaul_outage_at_submit_degrades_to_local(self):
@@ -400,20 +401,20 @@ class TestSpeculation:
             Task(work_mi=100.0, deadline_s=5.0), policy="speculate"
         )
         assert spec.degraded == BACKHAUL_DEGRADED
-        assert [a.tier_name for a in spec.attempts] == ["local"]
+        assert [a.tier_name for a in spec.race.handles] == ["local"]
         assert b.link.sent == 0
         b.world.run_until(10.0)
         assert b.offloader.stats.degraded == {BACKHAUL_DEGRADED: 1}
-        assert spec.winner is not None and spec.winner.tier_name == "local"
+        assert spec.race.winner is not None and spec.race.winner.tier_name == "local"
         assert_conserved(b.offloader, b.world.now)
 
     def test_speculate_without_deadline_degrades_to_prefer_local(self):
         b = build_tiered()
         spec = b.offloader.submit(Task(work_mi=100.0), policy="speculate")
-        assert [a.tier_name for a in spec.attempts] == ["local"]
+        assert [a.tier_name for a in spec.race.handles] == ["local"]
         assert b.offloader.stats.speculated == 0
         b.world.run_until(10.0)
-        assert spec.outcome == "completed"
+        assert spec.race.winner is not None
         assert_conserved(b.offloader, b.world.now)
 
 
@@ -423,17 +424,17 @@ class TestPolicies:
         spec = b.offloader.submit(
             Task(work_mi=100.0, deadline_s=10.0), policy="local_only"
         )
-        assert [a.tier_name for a in spec.attempts] == ["local"]
+        assert [a.tier_name for a in spec.race.handles] == ["local"]
         b.world.run_until(10.0)
         assert b.link.sent == 0
-        assert spec.winner is not None and spec.winner.tier_name == "local"
+        assert spec.race.winner is not None and spec.race.winner.tier_name == "local"
 
     def test_prefer_local_fails_over_when_local_is_unhealthy(self):
         b = build_tiered(members=0)  # zero workers: local unreachable
         spec = b.offloader.submit(Task(work_mi=100.0), policy="prefer_local")
-        assert [a.tier_name for a in spec.attempts] == ["central"]
+        assert [a.tier_name for a in spec.race.handles] == ["central"]
         b.world.run_until(10.0)
-        assert spec.outcome == "completed"
+        assert spec.race.winner is not None
         assert b.offloader.stats.failovers == 1
         assert_conserved(b.offloader, b.world.now)
 
@@ -490,7 +491,7 @@ class TestTierHealth:
             Task(work_mi=100.0, deadline_s=5.0), policy="speculate"
         )
         assert spec.degraded == BACKHAUL_DEGRADED
-        assert [a.tier_name for a in spec.attempts] == ["local"]
+        assert [a.tier_name for a in spec.race.handles] == ["local"]
 
     def test_validation(self, world):
         with pytest.raises(ConfigurationError):
@@ -724,15 +725,40 @@ class TestTierConservationInvariant:
         assert suite.checks_run > 0
         assert suite.violations == []
 
+    def test_detects_a_corrupted_attempt_ledger(self):
+        b = build_tiered()
+        b.offloader.submit(Task(work_mi=100.0, deadline_s=10.0), policy="speculate")
+        b.world.run_until(10.0)
+        assert_conserved(b.offloader, b.world.now)
+        b.offloader.stats.races.launched += 1  # an attempt nobody ran
+        violations = TierConservation(b.offloader).check(b.world.now)
+        assert any("attempts launched" in v.message for v in violations)
+
+    def test_detects_a_loser_never_asked_to_cancel(self, monkeypatch):
+        monkeypatch.setattr(Race, "_cancel_live", lambda race: None)
+        b = build_tiered()
+        seen = []
+        b.offloader.on_task_resolved(
+            lambda spec, reason: seen.extend(
+                TierConservation(b.offloader).check(b.world.now)
+            )
+        )
+        spec = b.offloader.submit(
+            Task(work_mi=100.0, deadline_s=10.0), policy="speculate"
+        )
+        b.world.run_until(10.0)
+        assert len(spec.race.handles) == 2
+        assert any("never asked to cancel" in v.message for v in seen)
+
     def test_detects_a_leaked_winner(self):
         b = build_tiered()
         spec = b.offloader.submit(
             Task(work_mi=100.0, deadline_s=10.0), policy="speculate"
         )
         b.world.run_until(10.0)
-        assert spec.resolved
+        assert spec.race.decided
         # Sabotage the ledger: pretend the winning attempt never won.
-        b.offloader.stats.attempts_won -= 1
+        b.offloader.stats.races.won -= 1
         violations = TierConservation(b.offloader).check(b.world.now)
         assert violations
         assert any("winner" in v.message or "winning" in v.message for v in violations)
