@@ -29,7 +29,7 @@ import time
 import pytest
 
 from repro.analysis import render_table
-from repro.core import ResourceOffer, Task, VehicularCloud
+from repro.core import ResourceOffer, VehicularCloud
 from repro.faults import FaultInjector, FaultPlan
 from repro.mobility import vehicle as vehicle_module
 from repro.net import BeaconService, VehicleNode, WirelessChannel

@@ -6,20 +6,23 @@ The measurement harness every scale/dependability claim runs through:
   :class:`ScenarioMatrix` (architecture x workload x fault profile x
   mobility x seeds, with per-cell overrides) expanding into seeded
   :class:`RunSpec` cells;
-* :mod:`.scenarios` — maps each cell onto a live world reusing the
-  chaos/serve/dag substrates, with the invariant suite attached;
+* :mod:`.scenarios` — maps each cell onto a live world built by the
+  shared Fig. 4 builders of :mod:`repro.chaos.scenarios`, with the
+  serve/dag/tier workload and the invariant suite attached, and maps
+  its fault profile onto fault plans;
 * :mod:`.orchestrator` — :class:`CampaignOrchestrator` executing cells
-  on parallel worker processes, each emitting a content-addressed
-  artifact bundle (obs ``report.json``, trace/event JSONL, invariant
-  verdicts, metric vector);
+  through the chaos run loop on parallel worker processes, each
+  emitting a content-addressed artifact bundle (obs ``report.json``,
+  trace/event JSONL, invariant verdicts, metric vector);
 * :mod:`.baseline` — :class:`BaselineStore` of blessed metric vectors,
   including ingestion of the historical E-series benchmark results;
 * :mod:`.report` — :class:`Reporter` comparing campaigns to baselines
   with per-metric tolerance bands and direction-aware regression
-  flagging, rendering ``report.json`` + ``report.md``.
+  flagging, plus an exact replay audit of every blessed run vector,
+  rendering ``report.json`` + ``report.md``.
 
 CLI: ``python -m repro.campaign run|baseline|report|ingest ...``;
-CI gate: ``python -m repro.campaign.smoke``.
+CI gate: ``python -m repro.campaign run SPEC --baseline BASELINE``.
 
 Determinism contract: per-run artifacts (everything except wall-clock
 envelopes) are byte-identical across worker counts and reruns, because
@@ -45,12 +48,7 @@ from .report import (
     direction_for,
     strip_volatile,
 )
-from .scenarios import (
-    FAULT_PROFILE_TABLE,
-    CampaignScenario,
-    build_scenario,
-    fault_profile_for,
-)
+from .scenarios import FAULT_PROFILE_TABLE, build_scenario, fault_plans
 from .spec import (
     ARCHITECTURES,
     COMPATIBLE_MOBILITY,
@@ -75,7 +73,6 @@ __all__ = [
     "CampaignOrchestrator",
     "CampaignReport",
     "CampaignRun",
-    "CampaignScenario",
     "CampaignSpec",
     "CellOverride",
     "Finding",
@@ -87,7 +84,7 @@ __all__ = [
     "classify",
     "direction_for",
     "execute_run",
-    "fault_profile_for",
+    "fault_plans",
     "load_baseline_file",
     "load_manifest",
     "strip_volatile",

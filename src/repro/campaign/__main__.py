@@ -11,8 +11,9 @@ Examples::
     python -m repro.campaign ingest benchmarks/results \\
         --out campaigns/baselines/eseries.json
 
-``run`` and ``report`` exit nonzero when a regression or an invariant
-violation is flagged, so CI can gate on them directly.
+``run`` and ``report`` exit nonzero when a regression, an invariant
+violation or a run that drifted from its blessed vector is flagged, so
+CI gates on them directly.
 """
 
 from __future__ import annotations

@@ -35,14 +35,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from ..chaos.generator import generate_plan
-from ..chaos.invariants import InvariantSuite
+from ..chaos.runner import run_scenario
 from ..errors import CampaignError
-from ..faults.backhaul import BackhaulFaultDriver
-from ..faults.injector import FaultInjector
 from ..ids import reset_global_ids
 from ..obs.exporters import write_json_report
-from .scenarios import backhaul_fault_plan, build_scenario, fault_profile_for
+from .scenarios import build_scenario, fault_plans
 from .spec import CampaignSpec, RunSpec
 
 #: Bundle files whose bytes must not depend on worker count or host.
@@ -123,54 +120,19 @@ def execute_run(spec: RunSpec, out_dir: str) -> RunOutcome:
     scenario = build_scenario(spec)
     world = scenario.world
     world.enable_observability(trace=True, events=True)
-
-    profile = fault_profile_for(spec.fault_profile)
-    injected = 0
-    skipped = 0
-    if profile is not None:
-        plan = generate_plan(
-            spec.world_seed, spec.run_length_s, scenario.targets(), profile
-        )
-        injector = FaultInjector(
-            world,
-            plan,
-            cloud=scenario.cloud,
-            channel=scenario.channel,
-            infrastructure=scenario.infrastructure,
-            node_lookup=scenario.node_lookup,
-        )
-        injector.arm()
-    else:
-        injector = None
-
-    backhaul_driver = None
-    if spec.fault_profile == "backhaul":
-        if scenario.backhaul_link is None:
-            raise CampaignError(
-                f"fault profile 'backhaul' needs a backhaul link "
-                f"(architecture {spec.architecture!r} has none)"
-            )
-        backhaul_driver = BackhaulFaultDriver(
-            world.engine,
-            scenario.backhaul_link,
-            backhaul_fault_plan(spec.world_seed, spec.run_length_s),
-        )
-        backhaul_driver.arm()
-
-    suite = InvariantSuite(scenario.invariants, metrics=world.metrics)
-    suite.attach(world, spec.check_interval_s)
-    world.run_for(spec.run_length_s + spec.drain_s)
-    suite.check_now(world.now)
-    if injector is not None:
-        injected = len(injector.ledger)
-        skipped = injector.skipped
-    if backhaul_driver is not None:
-        injected += len(backhaul_driver.ledger)
-        skipped += len(backhaul_driver.skipped)
+    plan, wan_plan = fault_plans(spec, scenario)
+    run = run_scenario(
+        scenario,
+        spec.run_length_s + spec.drain_s,
+        spec.check_interval_s,
+        plan=plan,
+        backhaul_plan=wan_plan,
+    )
+    suite = run.suite
 
     vector: Dict[str, float] = {
-        "faults/injected": float(injected),
-        "faults/skipped": float(skipped),
+        "faults/injected": float(run.injected),
+        "faults/skipped": float(run.skipped),
         "invariants/checks": float(suite.checks_run),
         "invariants/violations": float(len(suite.violations)),
     }
@@ -225,7 +187,7 @@ def execute_run(spec: RunSpec, out_dir: str) -> RunOutcome:
         spec=spec.as_dict(),
         vector=vector,
         violations=[v.describe() for v in suite.violations],
-        faults_injected=injected,
+        faults_injected=run.injected,
         checks_run=suite.checks_run,
         artifact_dir=bundle_dir,
         wall_clock_s=wall_clock_s,

@@ -11,6 +11,12 @@ Metric directions are inferred from the name (``*latency*``,
 etc. higher-is-better) and can be overridden per metric in the campaign
 spec.
 
+Seeded runs replay byte-identically, so the tolerance bands are for
+cell aggregates only: the reporter also holds every run vector to its
+blessed per-run vector exactly, and any drift at all fails the report
+(:attr:`CampaignReport.replay_drift`) even when every cell mean stays
+inside its band.
+
 The output is a :class:`CampaignReport` that renders both ways:
 ``to_dict`` -> ``report.json`` (machine-readable, CI-diffable) and
 ``to_markdown`` -> ``report.md`` (human-readable).  Wall-clock lives
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..sim.metrics import MetricDelta, ToleranceBand, ToleranceSpec, diff_metrics
@@ -124,11 +130,14 @@ class CampaignReport:
     violations: List[str]
     runs: int
     timing: Dict[str, Any]
+    #: Run key -> metrics whose value differs from the blessed run vector.
+    replay_drift: Dict[str, List[str]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        """Green iff nothing regressed and no invariant was violated."""
-        return not self.regressions and not self.violations
+        """Green iff nothing regressed, no invariant was violated and
+        every blessed run replayed its vector exactly."""
+        return not self.regressions and not self.violations and not self.replay_drift
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -142,12 +151,14 @@ class CampaignReport:
                 "improvements": len(self.improvements),
                 "new_metrics": len(self.new_metrics),
                 "invariant_violations": len(self.violations),
+                "replay_drift": len(self.replay_drift),
             },
             "cells": self.cells,
             "regressions": [f.as_dict() for f in self.regressions],
             "improvements": [f.as_dict() for f in self.improvements],
             "new_metrics": [f.as_dict() for f in self.new_metrics],
             "invariant_violations": self.violations,
+            "replay_drift": self.replay_drift,
             "timing": self.timing,
         }
 
@@ -160,7 +171,8 @@ class CampaignReport:
             f"{self.runs} runs over {len(self.cells)} cells — "
             f"{len(self.regressions)} regression(s), "
             f"{len(self.improvements)} improvement(s), "
-            f"{len(self.violations)} invariant violation(s)."
+            f"{len(self.violations)} invariant violation(s), "
+            f"{len(self.replay_drift)} run(s) drifted from their blessed replay."
         )
         if not self.baseline_available:
             lines.append("")
@@ -195,6 +207,12 @@ class CampaignReport:
             lines.append("")
             for violation in self.violations:
                 lines.append(f"- {violation}")
+        if self.replay_drift:
+            lines.append("")
+            lines.append("## Replay drift")
+            lines.append("")
+            for key, metrics in sorted(self.replay_drift.items()):
+                lines.append(f"- {key}: {', '.join(metrics)}")
         lines.append("")
         lines.append("## Cells")
         lines.append("")
@@ -261,8 +279,10 @@ class Reporter:
         """Judge one executed campaign against a baseline document.
 
         ``baseline`` is the document a :class:`~.baseline.BaselineStore`
-        stores (``{"cells": {...}, ...}``) or None, in which case every
-        metric is "new" and only invariant violations can fail the run.
+        stores (``{"cells": {...}, "runs": {...}, ...}``) or None, in
+        which case every metric is "new" and only invariant violations
+        can fail the run.  Every run with a blessed vector under
+        ``runs`` must replay it exactly.
         """
         baseline_cells: Dict[str, Dict[str, float]] = {}
         if baseline is not None:
@@ -320,6 +340,24 @@ class Reporter:
                 "status": "regression" if cell_regressions else "ok",
             }
 
+        # Byte-level replay audit: a seeded run that drifted from its
+        # blessed vector at all means determinism broke, even inside
+        # the cell tolerance bands.
+        replay_drift: Dict[str, List[str]] = {}
+        blessed_runs = dict(baseline.get("runs", {})) if baseline is not None else {}
+        for outcome in campaign_run.outcomes:
+            blessed = blessed_runs.get(outcome.key)
+            if blessed is None:
+                continue
+            drifted = sorted(
+                name
+                for name in set(blessed) | set(outcome.vector)
+                if float(blessed.get(name, float("nan")))
+                != outcome.vector.get(name, float("nan"))
+            )
+            if drifted:
+                replay_drift[outcome.key] = drifted
+
         return CampaignReport(
             campaign=campaign_run.spec.name,
             baseline_available=baseline is not None,
@@ -337,6 +375,7 @@ class Reporter:
                     for outcome in campaign_run.outcomes
                 },
             },
+            replay_drift=replay_drift,
         )
 
 

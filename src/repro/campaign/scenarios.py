@@ -1,45 +1,36 @@
 """Turn a :class:`~repro.campaign.spec.RunSpec` into a live scenario.
 
 One builder per matrix axis value, composed: the *architecture x
-mobility* pair picks the world/cloud construction (parked fleet,
-elected-captain highway or Manhattan fleet, RSU-anchored highway — the
-three Fig. 4 architectures), the *workload* attaches traffic (batch
-tasks + storage churn, the protected serving gateway under open-loop
-load, or the dependable DAG scheduler), and the *fault profile* maps to
-a seeded :class:`~repro.chaos.generator.ChaosProfile` weight table.
+mobility* pair picks the world/cloud construction — the shared
+Fig. 4 builders of :mod:`repro.chaos.scenarios` (parked fleet,
+elected-captain highway or Manhattan fleet, RSU-anchored highway),
+plus a datacenter tier behind a WAN backhaul for the tiered
+architecture — the *workload* attaches traffic (batch tasks + storage
+churn, the protected serving gateway under open-loop load, or the
+dependable DAG scheduler), and the *fault profile* maps to the cell's
+fault plans (:func:`fault_plans`): a seeded
+:class:`~repro.chaos.generator.ChaosProfile` grammar against the fleet,
+or a WAN schedule against the backhaul.
 
-Everything reuses the hardened chaos scenario substrate
-(:mod:`repro.chaos.scenarios`) so campaign cells measure the same
-configurations the chaos and overload suites defend.
+Campaign cells are therefore built by the same code as the chaos
+suite's scenarios and run through the same loop
+(:func:`repro.chaos.runner.run_scenario`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..chaos.generator import ChaosProfile, ChaosTargets
-from ..chaos.invariants import (
-    ChannelConservation,
-    DagConservation,
-    Invariant,
-    LeaseExclusivity,
-    MembershipAgreement,
-    QuorumSafety,
-    ServingConservation,
-    SingleHead,
-    StrandedTasks,
-    TaskConservation,
-    TierConservation,
-)
+from ..chaos.generator import ChaosProfile, generate_plan
+from ..chaos.invariants import DagConservation, ServingConservation, TierConservation
+from ..chaos.runner import Scenario
 from ..chaos.scenarios import (
-    attach_stack,
-    finish_storage,
-    standard_invariants,
+    build_dynamic,
+    build_infrastructure,
+    build_stationary,
     storage_workload,
     task_stream,
 )
-from ..faults import ConsistencyChecker
 from ..faults.plan import FaultPlan
 from ..infra.central_cloud import CentralCloud
 from ..tier import (
@@ -49,14 +40,7 @@ from ..tier import (
     TierTopology,
     VCloudTier,
 )
-from ..core import (
-    BacklogEstimator,
-    CheckpointHandoverPolicy,
-    DynamicVCloud,
-    InfrastructureVCloud,
-    ResourceOffer,
-    VehicularCloud,
-)
+from ..core import BacklogEstimator, Task
 from ..dag import (
     DagScheduler,
     RedundancyPlanner,
@@ -64,10 +48,6 @@ from ..dag import (
     map_reduce_template,
     pipeline_template,
 )
-from ..errors import CampaignError
-from ..geometry import Vec2
-from ..infra import deploy_rsus_on_highway
-from ..mobility import Highway, HighwayModel, ManhattanGrid, ManhattanModel, StationaryModel
 from ..serve import (
     CircuitBreakerBoard,
     CompositeAdmission,
@@ -81,7 +61,7 @@ from ..serve import (
     TenantSpec,
     WorkloadGenerator,
 )
-from ..sim import ScenarioConfig, World
+from ..sim.metrics import percentile
 from .spec import RunSpec
 
 #: Blended mean task size of the serving tenant mix (70% bulk @200 MI +
@@ -95,8 +75,7 @@ SERVING_SETTLE_S = 3.0
 #: Fault-profile names -> seeded chaos grammars.  ``None`` means no
 #: member-level injector is armed; "light"/"heavy" differ in fault
 #: density.  "backhaul" also maps to ``None`` here — its faults target
-#: the WAN link through :func:`backhaul_fault_plan` and a
-#: :class:`~repro.faults.backhaul.BackhaulFaultDriver`, not the fleet.
+#: the WAN link through :func:`backhaul_fault_plan`, not the fleet.
 FAULT_PROFILE_TABLE: Dict[str, Optional[ChaosProfile]] = {
     "none": None,
     "light": ChaosProfile(mean_interval_s=12.0, max_faults=24),
@@ -122,136 +101,28 @@ def backhaul_fault_plan(seed: int, run_length_s: float) -> FaultPlan:
     return plan
 
 
-@dataclass
-class CampaignScenario:
-    """Everything one campaign run needs from its builders."""
-
-    world: World
-    cloud: VehicularCloud
-    invariants: List[Invariant]
-    channel: Any = None
-    infrastructure: Sequence = ()
-    node_lookup: Optional[Callable[[str], Optional[object]]] = None
-    gateway: Optional[ServiceGateway] = None
-    dag_scheduler: Optional[DagScheduler] = None
-    #: Tiered-architecture wiring (None for single-tier architectures).
-    offloader: Optional[TieredOffloader] = None
-    backhaul_link: Optional[BackhaulLink] = None
-    #: Extra metric extractors appended by the workload builder.
-    vector_sources: List[Callable[[], Dict[str, float]]] = field(default_factory=list)
-
-    def targets(self) -> ChaosTargets:
-        """The fault-target inventory for plan generation."""
-        return ChaosTargets(
-            members=self.cloud.member_count(),
-            has_channel=self.channel is not None,
-            infrastructure=len(self.infrastructure),
-        )
+def fault_plans(
+    spec: RunSpec, scenario: Scenario
+) -> Tuple[Optional[FaultPlan], Optional[FaultPlan]]:
+    """The cell's member-fault plan and WAN-fault plan; None arms nothing."""
+    if spec.fault_profile == "backhaul":
+        return None, backhaul_fault_plan(spec.world_seed, spec.run_length_s)
+    profile = FAULT_PROFILE_TABLE[spec.fault_profile]
+    if profile is None:
+        return None, None
+    return generate_plan(spec.world_seed, spec.run_length_s, scenario.targets(), profile), None
 
 
 # -- architecture x mobility ------------------------------------------------
 
 
-def _mobile_invariants(
-    cloud: VehicularCloud,
-    world: World,
-    checker: ConsistencyChecker,
-    external_heads: Sequence[str] = (),
-) -> List[Invariant]:
-    """The chaos suite's invariant set with mobile convergence windows."""
-    return [
-        TaskConservation(cloud),
-        LeaseExclusivity(cloud),
-        SingleHead(cloud, external_heads=tuple(external_heads)),
-        MembershipAgreement(cloud, convergence_s=2.0),
-        QuorumSafety(checker),
-        ChannelConservation(world),
-        StrandedTasks(cloud, grace_s=12.0),
-    ]
-
-
-def _build_stationary(spec: RunSpec) -> CampaignScenario:
-    world = World(ScenarioConfig(seed=spec.world_seed))
-    model = StationaryModel(
-        world, positions=[Vec2(i * 40.0, 0.0) for i in range(spec.members)]
-    )
-    vehicles = model.populate(spec.members)
-    channel, lookup = attach_stack(world, vehicles)
-    cloud = VehicularCloud(
-        world, "campaign-vc", handover_policy=CheckpointHandoverPolicy()
-    )
-    for vehicle in vehicles:
-        cloud.admit(
-            vehicle, offer=ResourceOffer(vehicle.vehicle_id, 100.0, 10**9, 1e6)
-        )
-    checker = finish_storage(cloud, hardened=True)
-    return CampaignScenario(
-        world=world,
-        cloud=cloud,
-        invariants=standard_invariants(cloud, world, checker),
-        channel=channel,
-        node_lookup=lookup,
+def _build_stationary(spec: RunSpec) -> Scenario:
+    return build_stationary(
+        spec.world_seed, spec.members, hardened=True, cloud_name="campaign-vc"
     )
 
 
-def _build_dynamic(spec: RunSpec) -> CampaignScenario:
-    world = World(ScenarioConfig(seed=spec.world_seed, vehicle_count=spec.members))
-    if spec.mobility == "grid":
-        grid = ManhattanGrid(blocks_x=4, blocks_y=4, block_size_m=400.0)
-        model: Any = ManhattanModel(world, grid)
-    else:
-        model = HighwayModel(world, Highway(length_m=3000.0))
-    model.populate(spec.members)
-    model.start()
-    channel, lookup = attach_stack(world, model.vehicles)
-    arch = DynamicVCloud(world, model)
-    arch.start()
-    cloud = arch.cloud
-    checker = finish_storage(cloud, hardened=True)
-    # Membership-derived tables lag one refresh under churn; mirror the
-    # chaos suite's convergence windows.
-    return CampaignScenario(
-        world=world,
-        cloud=cloud,
-        invariants=_mobile_invariants(cloud, world, checker),
-        channel=channel,
-        node_lookup=lookup,
-    )
-
-
-def _build_infrastructure(spec: RunSpec) -> CampaignScenario:
-    world = World(ScenarioConfig(seed=spec.world_seed, vehicle_count=spec.members))
-    highway = Highway(length_m=3000.0)
-    model = HighwayModel(world, highway)
-    model.populate(spec.members)
-    model.start()
-    from ..net import BeaconService, VehicleNode, WirelessChannel
-
-    channel = WirelessChannel(world)
-    rsus = deploy_rsus_on_highway(world, channel, highway, spacing_m=1500.0)
-    nodes: Dict[str, VehicleNode] = {}
-    for vehicle in model.vehicles:
-        node = VehicleNode(world, channel, vehicle)
-        BeaconService(world, node).start()
-        nodes[vehicle.vehicle_id] = node
-    arch = InfrastructureVCloud(world, rsus[0], model)
-    arch.start()
-    cloud = arch.cloud
-    checker = finish_storage(cloud, hardened=True)
-    invariants = _mobile_invariants(
-        cloud, world, checker, external_heads=(rsus[0].node_id,)
-    )
-    return CampaignScenario(
-        world=world,
-        cloud=cloud,
-        invariants=invariants,
-        channel=channel,
-        infrastructure=rsus,
-        node_lookup=lambda node_id: nodes.get(node_id),
-    )
-
-
-def _build_tiered(spec: RunSpec) -> CampaignScenario:
+def _build_tiered(spec: RunSpec) -> Scenario:
     """Stationary local v-cloud + datacenter tier behind a WAN backhaul."""
     base = _build_stationary(spec)
     world = base.world
@@ -287,10 +158,14 @@ def _build_tiered(spec: RunSpec) -> CampaignScenario:
     return base
 
 
-_ARCHITECTURE_BUILDERS: Dict[str, Callable[[RunSpec], CampaignScenario]] = {
+_ARCHITECTURE_BUILDERS: Dict[str, Callable[[RunSpec], Scenario]] = {
     "stationary": _build_stationary,
-    "dynamic": _build_dynamic,
-    "infrastructure": _build_infrastructure,
+    "dynamic": lambda spec: build_dynamic(
+        spec.world_seed, spec.members, hardened=True, mobility=spec.mobility
+    ),
+    "infrastructure": lambda spec: build_infrastructure(
+        spec.world_seed, spec.members, hardened=True
+    ),
     "tiered": _build_tiered,
 }
 
@@ -298,7 +173,7 @@ _ARCHITECTURE_BUILDERS: Dict[str, Callable[[RunSpec], CampaignScenario]] = {
 # -- workloads ---------------------------------------------------------------
 
 
-def _attach_tasks(spec: RunSpec, scenario: CampaignScenario) -> None:
+def _attach_tasks(spec: RunSpec, scenario: Scenario) -> None:
     """Batch task stream + storage read/write churn (the chaos workload).
 
     On the tiered architecture the stream routes through the
@@ -328,8 +203,6 @@ def _attach_tasks(spec: RunSpec, scenario: CampaignScenario) -> None:
             }
 
     else:
-        from ..core import Task
-
         deadline_s = spec.run_length_s * 0.75
         for index in range(count):
             scenario.world.engine.schedule_at(
@@ -359,7 +232,7 @@ def _attach_tasks(spec: RunSpec, scenario: CampaignScenario) -> None:
     scenario.vector_sources.append(vector)
 
 
-def _attach_serving(spec: RunSpec, scenario: CampaignScenario) -> None:
+def _attach_serving(spec: RunSpec, scenario: Scenario) -> None:
     """Protected gateway under an open-loop tenant mix at ``load_factor``.
 
     On the tiered architecture the gateway routes through ``tiering=``
@@ -417,8 +290,6 @@ def _attach_serving(spec: RunSpec, scenario: CampaignScenario) -> None:
         stats = gateway.stats
         terminal = stats.completed + stats.failed + stats.shed
         latencies = sorted(stats.latencies_s)
-        from ..sim.metrics import percentile
-
         return {
             "serve/offered": float(stats.offered),
             "serve/admitted": float(stats.admitted),
@@ -440,7 +311,7 @@ def _attach_serving(spec: RunSpec, scenario: CampaignScenario) -> None:
     scenario.vector_sources.append(vector)
 
 
-def _attach_dag(spec: RunSpec, scenario: CampaignScenario) -> None:
+def _attach_dag(spec: RunSpec, scenario: Scenario) -> None:
     """Dependable DAG stream: redundancy, checkpointing, backlog-aware."""
     world = scenario.world
     scheduler = DagScheduler(
@@ -491,30 +362,17 @@ def _attach_dag(spec: RunSpec, scenario: CampaignScenario) -> None:
     scenario.vector_sources.append(vector)
 
 
-_WORKLOAD_BUILDERS: Dict[str, Callable[[RunSpec, CampaignScenario], None]] = {
+_WORKLOAD_BUILDERS: Dict[str, Callable[[RunSpec, Scenario], None]] = {
     "tasks": _attach_tasks,
     "serving": _attach_serving,
     "dag": _attach_dag,
 }
 
 
-def fault_profile_for(name: str) -> Optional[ChaosProfile]:
-    """The chaos grammar for a fault-profile name (None = no faults)."""
-    try:
-        return FAULT_PROFILE_TABLE[name]
-    except KeyError:
-        raise CampaignError(f"unknown fault profile: {name!r}") from None
-
-
-def build_scenario(spec: RunSpec) -> CampaignScenario:
+def build_scenario(spec: RunSpec) -> Scenario:
     """Compose the architecture and workload builders for one cell."""
-    try:
-        build_arch = _ARCHITECTURE_BUILDERS[spec.architecture]
-        attach_workload = _WORKLOAD_BUILDERS[spec.workload]
-    except KeyError as exc:
-        raise CampaignError(f"no builder for {exc}") from None
-    scenario = build_arch(spec)
-    attach_workload(spec, scenario)
+    scenario = _ARCHITECTURE_BUILDERS[spec.architecture](spec)
+    _WORKLOAD_BUILDERS[spec.workload](spec, scenario)
     return scenario
 
 
@@ -522,8 +380,7 @@ __all__: Sequence[str] = (
     "FAULT_PROFILE_TABLE",
     "MEAN_WORK_MI",
     "SERVING_SETTLE_S",
-    "CampaignScenario",
     "backhaul_fault_plan",
     "build_scenario",
-    "fault_profile_for",
+    "fault_plans",
 )

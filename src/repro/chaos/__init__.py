@@ -12,12 +12,15 @@ modes; this package probes *unchosen* ones:
   conservation, lease exclusivity, single-head, quorum safety,
   membership agreement, channel conservation, stranded tasks, DAG
   conservation) checked continuously while faults fire;
-* :mod:`.runner` executes campaigns and, on violation, captures a
-  reproducer bundle and delta-debugs (:mod:`.minimize`) the fault
-  schedule down to a minimal failing subset that replays
+* :mod:`.runner` holds the one run loop chaos and campaign runs share
+  (:func:`run_scenario`: arm the fault plans, check the invariants
+  while the world runs), executes seeded campaigns and, on violation,
+  captures a reproducer bundle and delta-debugs (:mod:`.minimize`) the
+  fault schedule down to a minimal failing subset that replays
   deterministically from the recorded seed;
-* :mod:`.scenarios` provides hardened and deliberately weakened builds
-  of the three Fig. 4 architectures for campaigns to chew on.
+* :mod:`.scenarios` holds the one builder per Fig. 4 architecture
+  (hardened or deliberately weakened) that chaos and campaign runs
+  share, and the chaos workload on top of it.
 
 Quick start::
 
@@ -58,15 +61,19 @@ from .minimize import ddmin
 from .runner import (
     CampaignResult,
     ChaosRunner,
-    ChaosScenario,
     RunResult,
+    Scenario,
     ScenarioFactory,
+    ScenarioRun,
+    run_scenario,
 )
 from .scenarios import (
     CHAOS_BACKOFF,
+    build_dynamic,
+    build_infrastructure,
+    build_stationary,
     dynamic_scenario,
     infrastructure_scenario,
-    overload_scenario,
     stationary_scenario,
 )
 
@@ -76,7 +83,6 @@ __all__ = [
     "ChannelConservation",
     "ChaosProfile",
     "ChaosRunner",
-    "ChaosScenario",
     "ChaosTargets",
     "ClusterExclusivity",
     "DagConservation",
@@ -88,18 +94,23 @@ __all__ = [
     "QuorumSafety",
     "ReproducerBundle",
     "RunResult",
+    "Scenario",
     "ScenarioFactory",
+    "ScenarioRun",
     "ServingConservation",
     "SingleHead",
     "StrandedTasks",
     "TaskConservation",
     "TierConservation",
     "Violation",
+    "build_dynamic",
+    "build_infrastructure",
+    "build_stationary",
     "campaign_size",
     "ddmin",
     "dynamic_scenario",
     "generate_plan",
     "infrastructure_scenario",
-    "overload_scenario",
+    "run_scenario",
     "stationary_scenario",
 ]

@@ -1,10 +1,16 @@
 """Chaos campaign runner: seeded runs, campaigns, reproducer capture.
 
-:class:`ChaosRunner` glues the pieces together.  A *scenario factory*
-builds a fresh world + cloud + invariant list for a seed; the runner
-generates a fault campaign for that seed (:mod:`.generator`), arms a
-:class:`~repro.faults.injector.FaultInjector`, checks the invariant
-suite on a fixed cadence, and reports a :class:`RunResult`.
+:func:`run_scenario` is the one run loop for chaos and campaign runs:
+it arms a built :class:`Scenario`'s fault plans (member faults through a
+:class:`~repro.faults.injector.FaultInjector`, WAN faults through a
+:class:`~repro.faults.backhaul.BackhaulFaultDriver`), checks the
+invariant suite on a fixed cadence while the world runs, and checks it
+once more at the end.
+
+:class:`ChaosRunner` drives it per seed.  A *scenario factory* builds a
+fresh scenario for a seed; the runner generates a fault campaign for
+that seed (:mod:`.generator`), runs it, and reports a
+:class:`RunResult`.
 
 On violation, :meth:`ChaosRunner.capture_reproducer` delta-debugs the
 fault schedule (:mod:`.minimize`) down to a 1-minimal failing subset —
@@ -22,9 +28,10 @@ even within one process — the property replay depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ChaosError
+from ..faults.backhaul import BackhaulFaultDriver
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..ids import reset_global_ids
@@ -34,30 +41,97 @@ from .generator import ChaosProfile, ChaosTargets, generate_plan
 from .invariants import Invariant, InvariantSuite, Violation
 from .minimize import ddmin
 
+if TYPE_CHECKING:
+    from ..core import VehicularCloud
+    from ..dag import DagScheduler
+    from ..serve import ServiceGateway
+    from ..tier import BackhaulLink, TieredOffloader
+
 #: Span statuses that mark a span as "something went wrong here".
 _SUSPECT_STATUSES = ("failed", "error", "dropped", "degraded", "handover")
 
 
 @dataclass
-class ChaosScenario:
-    """Everything the runner needs from one freshly built scenario."""
+class Scenario:
+    """Everything a run needs from one freshly built world."""
 
     world: World
-    invariants: Sequence[Invariant]
-    cloud: Any = None
+    cloud: VehicularCloud
+    invariants: List[Invariant]
     channel: Any = None
     infrastructure: Sequence = ()
     node_lookup: Optional[Callable[[str], Optional[object]]] = None
     label: str = "scenario"
+    #: Workload wiring a campaign cell adds (None where absent).
+    gateway: Optional[ServiceGateway] = None
+    dag_scheduler: Optional[DagScheduler] = None
+    offloader: Optional[TieredOffloader] = None
+    backhaul_link: Optional[BackhaulLink] = None
+    #: Metric extractors a campaign cell's vector is read from.
+    vector_sources: List[Callable[[], Dict[str, float]]] = field(default_factory=list)
 
     def targets(self) -> ChaosTargets:
         """Derive the fault-target inventory for plan generation."""
-        members = self.cloud.member_count() if self.cloud is not None else 0
         return ChaosTargets(
-            members=members,
+            members=self.cloud.member_count(),
             has_channel=self.channel is not None,
             infrastructure=len(self.infrastructure),
         )
+
+
+@dataclass
+class ScenarioRun:
+    """The fault ledgers and the invariant suite of one finished run."""
+
+    suite: InvariantSuite
+    armed: int
+    injected: int
+    skipped: int
+
+
+def run_scenario(
+    scenario: Scenario,
+    duration_s: float,
+    check_interval_s: float,
+    plan: Optional[FaultPlan] = None,
+    only_indices: Optional[Sequence[int]] = None,
+    backhaul_plan: Optional[FaultPlan] = None,
+) -> ScenarioRun:
+    """Arm the fault plans, run with periodic invariant checks, check once more.
+
+    ``plan`` (optionally only the schedule entries in ``only_indices``)
+    targets the fleet, the channel and the RSUs; ``backhaul_plan``
+    targets the scenario's WAN link.  A plan left None arms nothing.
+    """
+    world = scenario.world
+    armed = injected = skipped = 0
+    injector = None
+    if plan is not None:
+        injector = FaultInjector(
+            world,
+            plan,
+            cloud=scenario.cloud,
+            channel=scenario.channel,
+            infrastructure=scenario.infrastructure,
+            node_lookup=scenario.node_lookup,
+        )
+        armed = injector.arm(only_indices)
+    driver = None
+    if backhaul_plan is not None:
+        assert scenario.backhaul_link is not None
+        driver = BackhaulFaultDriver(world.engine, scenario.backhaul_link, backhaul_plan)
+        driver.arm()
+    suite = InvariantSuite(scenario.invariants, metrics=world.metrics)
+    suite.attach(world, check_interval_s)
+    world.run_for(duration_s)
+    suite.check_now(world.now)
+    if injector is not None:
+        injected += len(injector.ledger)
+        skipped += injector.skipped
+    if driver is not None:
+        injected += len(driver.ledger)
+        skipped += len(driver.skipped)
+    return ScenarioRun(suite=suite, armed=armed, injected=injected, skipped=skipped)
 
 
 @dataclass
@@ -77,7 +151,7 @@ class RunResult:
     completed: int = 0
     failed: int = 0
     storage_degraded: int = 0
-    scenario: Optional[ChaosScenario] = None
+    scenario: Optional[Scenario] = None
 
     @property
     def ok(self) -> bool:
@@ -125,7 +199,7 @@ class CampaignResult:
 
 
 #: A scenario factory builds a fresh, unstarted scenario for one seed.
-ScenarioFactory = Callable[[int], ChaosScenario]
+ScenarioFactory = Callable[[int], Scenario]
 
 
 class ChaosRunner:
@@ -158,45 +232,35 @@ class ChaosRunner:
         """Execute one seeded run; optionally arm only a schedule subset."""
         reset_global_ids()
         scenario = self.factory(seed)
-        world = scenario.world
         if observe:
-            world.enable_observability(trace=True, events=True)
+            scenario.world.enable_observability(trace=True, events=True)
         plan = generate_plan(
             seed, self.run_length_s, scenario.targets(), self.profile
         )
-        injector = FaultInjector(
-            world,
-            plan,
-            cloud=scenario.cloud,
-            channel=scenario.channel,
-            infrastructure=scenario.infrastructure,
-            node_lookup=scenario.node_lookup,
+        run = run_scenario(
+            scenario,
+            self.run_length_s,
+            self.check_interval_s,
+            plan=plan,
+            only_indices=only_indices,
         )
-        armed = injector.arm(only_indices)
-        suite = InvariantSuite(scenario.invariants, metrics=world.metrics)
-        suite.attach(world, self.check_interval_s)
-        world.run_for(self.run_length_s)
-        suite.check_now(world.now)
-
-        result = RunResult(
+        stats = scenario.cloud.stats
+        return RunResult(
             seed=seed,
             label=scenario.label,
             schedule_size=len(plan.schedule()),
-            armed=armed,
-            injected=len(injector.ledger),
-            skipped=injector.skipped,
-            checks_run=suite.checks_run,
-            violations=list(suite.violations),
+            armed=run.armed,
+            injected=run.injected,
+            skipped=run.skipped,
+            checks_run=run.suite.checks_run,
+            violations=list(run.suite.violations),
             plan=plan,
+            submitted=stats.submitted,
+            completed=stats.completed,
+            failed=stats.failed,
+            storage_degraded=stats.storage_degraded,
             scenario=scenario,
         )
-        if scenario.cloud is not None:
-            stats = scenario.cloud.stats
-            result.submitted = stats.submitted
-            result.completed = stats.completed
-            result.failed = stats.failed
-            result.storage_degraded = stats.storage_degraded
-        return result
 
     def run_campaign(self, seeds: Sequence[int], label: str = "") -> CampaignResult:
         """Run one seed after another, collecting every result."""

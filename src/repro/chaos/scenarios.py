@@ -1,12 +1,17 @@
-"""Ready-made chaos scenarios for the three Fig. 4 architectures.
+"""The three Fig. 4 architectures, built once for chaos and campaign runs.
 
-Each builder returns a :class:`~.runner.ChaosScenario`: a fresh world,
-a started cloud with a task stream and a storage workload, a full radio
-stack (so network faults have something to bite on), and the invariant
-set appropriate to the architecture.
+:func:`build_stationary`, :func:`build_dynamic` and
+:func:`build_infrastructure` each return a :class:`~.runner.Scenario`:
+a fresh world, a started cloud, a full radio stack (so network faults
+have something to bite on), and the invariant set the architecture is
+held to (:func:`architecture_invariants`).  The chaos suite's
+:func:`stationary_scenario`, :func:`dynamic_scenario` and
+:func:`infrastructure_scenario` add its task stream and storage
+workload; the campaign cells (:mod:`repro.campaign.scenarios`) add
+theirs.
 
-``hardened=True`` (the default) enables every recovery mechanism the
-framework offers — lease-based liveness, exponential-backoff retries,
+``hardened=True`` enables every recovery mechanism the framework
+offers — lease-based liveness, exponential-backoff retries,
 majority-quorum replicated storage with anti-entropy repair and hinted
 handoff.  ``hardened=False`` builds the deliberately weakened
 configuration the chaos acceptance campaign is meant to break: no
@@ -19,7 +24,7 @@ partitions) — with minimized reproducers of one or two faults.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core import (
     BackoffPolicy,
@@ -34,7 +39,7 @@ from ..core import (
 from ..faults import ConsistencyChecker
 from ..geometry import Vec2
 from ..infra import deploy_rsus_on_highway
-from ..mobility import Highway, HighwayModel, StationaryModel
+from ..mobility import Highway, HighwayModel, ManhattanGrid, ManhattanModel, StationaryModel
 from ..net import BeaconService, VehicleNode, WirelessChannel
 from ..sim import ScenarioConfig, World
 from .invariants import (
@@ -47,19 +52,22 @@ from .invariants import (
     StrandedTasks,
     TaskConservation,
 )
+from .runner import Scenario
 
 __all__ = [
-    "attach_stack",
+    "architecture_invariants",
+    "attach_nodes",
+    "build_dynamic",
+    "build_infrastructure",
+    "build_stationary",
     "finish_storage",
     "harden_cloud",
-    "standard_invariants",
     "storage_workload",
     "task_stream",
     "weaken_cloud",
     "stationary_scenario",
     "dynamic_scenario",
     "infrastructure_scenario",
-    "overload_scenario",
     "CHAOS_BACKOFF",
 ]
 
@@ -139,27 +147,32 @@ def task_stream(
     return records
 
 
-def standard_invariants(
+def architecture_invariants(
     cloud: VehicularCloud,
     world: World,
     checker: ConsistencyChecker,
-    external_heads=(),
-    stranded_grace_s: float = 12.0,
+    external_heads: Sequence[str] = (),
+    convergence_s: float = 0.0,
 ) -> List[Invariant]:
+    """The safety invariants every Fig. 4 architecture is held to.
+
+    A mobile cloud re-elects its captain and churns members as vehicles
+    move, so its membership-derived tables may lag one refresh
+    interval: its builders pass a ``convergence_s`` window.
+    """
     return [
         TaskConservation(cloud),
         LeaseExclusivity(cloud),
-        SingleHead(cloud, external_heads=external_heads),
-        MembershipAgreement(cloud),
+        SingleHead(cloud, external_heads=tuple(external_heads)),
+        MembershipAgreement(cloud, convergence_s=convergence_s),
         QuorumSafety(checker),
         ChannelConservation(world),
-        StrandedTasks(cloud, grace_s=stranded_grace_s),
+        StrandedTasks(cloud, grace_s=12.0),
     ]
 
 
-def attach_stack(world: World, vehicles):
-    """Channel + node + beacon per vehicle; returns (channel, lookup)."""
-    channel = WirelessChannel(world)
+def attach_nodes(world: World, channel: WirelessChannel, vehicles):
+    """A radio node with beacons per vehicle; returns the node lookup."""
     nodes: Dict[str, VehicleNode] = {}
     for vehicle in vehicles:
         node = VehicleNode(world, channel, vehicle)
@@ -169,7 +182,7 @@ def attach_stack(world: World, vehicles):
     def lookup(node_id: str) -> Optional[object]:
         return nodes.get(node_id)
 
-    return channel, lookup
+    return lookup
 
 
 def finish_storage(cloud: VehicularCloud, hardened: bool) -> ConsistencyChecker:
@@ -183,29 +196,31 @@ def finish_storage(cloud: VehicularCloud, hardened: bool) -> ConsistencyChecker:
     return checker
 
 
-def stationary_scenario(seed: int, hardened: bool = True, members: int = 8):
-    """A parked-fleet cloud on a controlled stationary grid."""
-    from .runner import ChaosScenario
+def build_stationary(
+    seed: int, members: int, hardened: bool, cloud_name: str
+) -> Scenario:
+    """A parked-fleet cloud on a controlled stationary grid.
 
+    ``cloud_name`` keys the cloud's retry and storage RNG forks.
+    """
     world = World(ScenarioConfig(seed=seed))
     model = StationaryModel(
         world, positions=[Vec2(i * 40.0, 0.0) for i in range(members)]
     )
     vehicles = model.populate(members)
-    channel, lookup = attach_stack(world, vehicles)
+    channel = WirelessChannel(world)
+    lookup = attach_nodes(world, channel, vehicles)
     cloud = VehicularCloud(
-        world, "chaos-stationary-vc", handover_policy=CheckpointHandoverPolicy()
+        world, cloud_name, handover_policy=CheckpointHandoverPolicy()
     )
     for vehicle in vehicles:
         cloud.admit(
             vehicle, offer=ResourceOffer(vehicle.vehicle_id, 100.0, 10**9, 1e6)
         )
     checker = finish_storage(cloud, hardened)
-    task_stream(world, cloud)
-    storage_workload(world, cloud)
-    return ChaosScenario(
+    return Scenario(
         world=world,
-        invariants=standard_invariants(cloud, world, checker),
+        invariants=architecture_invariants(cloud, world, checker),
         cloud=cloud,
         channel=channel,
         node_lookup=lookup,
@@ -213,38 +228,27 @@ def stationary_scenario(seed: int, hardened: bool = True, members: int = 8):
     )
 
 
-def dynamic_scenario(seed: int, hardened: bool = True, vehicles: int = 12):
-    """A self-organized highway cloud with an elected captain."""
-    from .runner import ChaosScenario
-
-    world = World(ScenarioConfig(seed=seed, vehicle_count=vehicles))
-    highway = Highway(length_m=3000.0)
-    model = HighwayModel(world, highway)
-    model.populate(vehicles)
+def build_dynamic(
+    seed: int, members: int, hardened: bool, mobility: str = "highway"
+) -> Scenario:
+    """A self-organized cloud with an elected captain, on a highway or a grid."""
+    world = World(ScenarioConfig(seed=seed, vehicle_count=members))
+    if mobility == "grid":
+        grid = ManhattanGrid(blocks_x=4, blocks_y=4, block_size_m=400.0)
+        model: Any = ManhattanModel(world, grid)
+    else:
+        model = HighwayModel(world, Highway(length_m=3000.0))
+    model.populate(members)
     model.start()
-    channel, lookup = attach_stack(world, model.vehicles)
+    channel = WirelessChannel(world)
+    lookup = attach_nodes(world, channel, model.vehicles)
     arch = DynamicVCloud(world, model)
     arch.start()
     cloud = arch.cloud
     checker = finish_storage(cloud, hardened)
-    task_stream(world, cloud)
-    storage_workload(world, cloud)
-    # A dynamic cloud re-elects its captain and churns members as
-    # vehicles move, so membership-derived tables may lag one refresh
-    # interval; give agreement a convergence window and stranded tasks
-    # extra grace for handover-in-progress.
-    invariants: List[Invariant] = [
-        TaskConservation(cloud),
-        LeaseExclusivity(cloud),
-        SingleHead(cloud),
-        MembershipAgreement(cloud, convergence_s=2.0),
-        QuorumSafety(checker),
-        ChannelConservation(world),
-        StrandedTasks(cloud, grace_s=12.0),
-    ]
-    return ChaosScenario(
+    return Scenario(
         world=world,
-        invariants=invariants,
+        invariants=architecture_invariants(cloud, world, checker, convergence_s=2.0),
         cloud=cloud,
         channel=channel,
         node_lookup=lookup,
@@ -252,44 +256,27 @@ def dynamic_scenario(seed: int, hardened: bool = True, vehicles: int = 12):
     )
 
 
-def infrastructure_scenario(seed: int, hardened: bool = True, vehicles: int = 14):
+def build_infrastructure(seed: int, members: int, hardened: bool) -> Scenario:
     """An RSU-anchored highway cloud (the RSU is the external head)."""
-    from .runner import ChaosScenario
-
-    world = World(ScenarioConfig(seed=seed, vehicle_count=vehicles))
+    world = World(ScenarioConfig(seed=seed, vehicle_count=members))
     highway = Highway(length_m=3000.0)
     model = HighwayModel(world, highway)
-    model.populate(vehicles)
+    model.populate(members)
     model.start()
     channel = WirelessChannel(world)
     rsus = deploy_rsus_on_highway(world, channel, highway, spacing_m=1500.0)
-    nodes: Dict[str, VehicleNode] = {}
-    for vehicle in model.vehicles:
-        node = VehicleNode(world, channel, vehicle)
-        BeaconService(world, node).start()
-        nodes[vehicle.vehicle_id] = node
-
-    def lookup(node_id: str) -> Optional[object]:
-        return nodes.get(node_id)
-
+    lookup = attach_nodes(world, channel, model.vehicles)
     arch = InfrastructureVCloud(world, rsus[0], model)
     arch.start()
     cloud = arch.cloud
     checker = finish_storage(cloud, hardened)
-    task_stream(world, cloud)
-    storage_workload(world, cloud)
-    invariants: List[Invariant] = [
-        TaskConservation(cloud),
-        LeaseExclusivity(cloud),
-        SingleHead(cloud, external_heads=(rsus[0].node_id,)),
-        MembershipAgreement(cloud, convergence_s=2.0),
-        QuorumSafety(checker),
-        ChannelConservation(world),
-        StrandedTasks(cloud, grace_s=12.0),
-    ]
-    return ChaosScenario(
+    return Scenario(
         world=world,
-        invariants=invariants,
+        invariants=architecture_invariants(
+            cloud, world, checker,
+            external_heads=(rsus[0].node_id,),
+            convergence_s=2.0,
+        ),
         cloud=cloud,
         channel=channel,
         infrastructure=rsus,
@@ -298,88 +285,26 @@ def infrastructure_scenario(seed: int, hardened: bool = True, vehicles: int = 14
     )
 
 
-def overload_scenario(seed: int, hardened: bool = True, members: int = 8):
-    """A stationary cloud behind a protected serving gateway, overloaded.
+def _with_chaos_workload(scenario: Scenario) -> Scenario:
+    task_stream(scenario.world, scenario.cloud)
+    storage_workload(scenario.world, scenario.cloud)
+    return scenario
 
-    Open-loop traffic at roughly twice the fleet's compute capacity
-    pushes the gateway into sustained admission rejection and load
-    shedding *while* the chaos campaign injects faults — the regime in
-    which request-accounting bugs (a shed victim also dispatched, a
-    hedge loser finalized twice) would surface.
-    :class:`~.invariants.ServingConservation` holds the gateway to its
-    conservation law throughout.
-    """
-    from ..serve import (
-        CircuitBreakerBoard,
-        CompositeAdmission,
-        DeadlineFeasibilityAdmission,
-        DeadlineLapseShedder,
-        HedgePolicy,
-        PoissonArrivals,
-        QueueDelayShedder,
-        ServiceGateway,
-        TenantFairShareAdmission,
-        TenantSpec,
-        WorkloadGenerator,
-    )
-    from .invariants import ServingConservation
-    from .runner import ChaosScenario
 
-    world = World(ScenarioConfig(seed=seed))
-    model = StationaryModel(
-        world, positions=[Vec2(i * 40.0, 0.0) for i in range(members)]
+def stationary_scenario(seed: int, hardened: bool = True, members: int = 8) -> Scenario:
+    """A parked-fleet cloud under the chaos task and storage workload."""
+    return _with_chaos_workload(
+        build_stationary(seed, members, hardened, cloud_name="chaos-stationary-vc")
     )
-    vehicles = model.populate(members)
-    channel, lookup = attach_stack(world, vehicles)
-    cloud = VehicularCloud(
-        world, "chaos-overload-vc", handover_policy=CheckpointHandoverPolicy()
-    )
-    for vehicle in vehicles:
-        cloud.admit(
-            vehicle, offer=ResourceOffer(vehicle.vehicle_id, 100.0, 10**9, 1e6)
-        )
-    checker = finish_storage(cloud, hardened)
-    gateway = ServiceGateway(
-        world,
-        cloud,
-        name="chaos-overload",
-        queue_capacity=32,
-        admission=CompositeAdmission([
-            DeadlineFeasibilityAdmission(),
-            TenantFairShareAdmission(share=0.7),
-        ]),
-        shedders=[DeadlineLapseShedder(), QueueDelayShedder(max_delay_s=4.0)],
-        breakers=CircuitBreakerBoard(world, "chaos-overload"),
-        hedging=HedgePolicy(),
-    )
-    # ~2x the fleet's compute capacity: (members-1) workers x 100 MIPS
-    # against 200 MI tasks is (members-1)/2 tasks/s sustainable.
-    overload_rate = float(members - 1)
-    tenants = [
-        TenantSpec(
-            name="bulk",
-            arrivals=PoissonArrivals(overload_rate * 0.7),
-            work_mi_range=(150.0, 250.0),
-            deadline_s=8.0,
-            priority=2,
-        ),
-        TenantSpec(
-            name="interactive",
-            arrivals=PoissonArrivals(overload_rate * 0.3),
-            work_mi_range=(100.0, 200.0),
-            deadline_s=6.0,
-            priority=1,
-        ),
-    ]
-    WorkloadGenerator(world, gateway, tenants, horizon_s=600.0).start()
-    storage_workload(world, cloud)
-    invariants = standard_invariants(cloud, world, checker)
-    invariants.append(ServingConservation(gateway))
-    return ChaosScenario(
-        world=world,
-        invariants=invariants,
-        cloud=cloud,
-        channel=channel,
-        node_lookup=lookup,
-        label="overload",
-    )
+
+
+def dynamic_scenario(seed: int, hardened: bool = True, vehicles: int = 12) -> Scenario:
+    """A self-organized highway cloud under the chaos workload."""
+    return _with_chaos_workload(build_dynamic(seed, vehicles, hardened))
+
+
+def infrastructure_scenario(
+    seed: int, hardened: bool = True, vehicles: int = 14
+) -> Scenario:
+    """An RSU-anchored highway cloud under the chaos workload."""
+    return _with_chaos_workload(build_infrastructure(seed, vehicles, hardened))

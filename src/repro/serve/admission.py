@@ -23,7 +23,7 @@ The policies are deliberately small and composable:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
 from ..errors import ConfigurationError
 from .request import ServiceRequest

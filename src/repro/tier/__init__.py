@@ -19,12 +19,13 @@ item 3):
   speculation runs local and remote replicas simultaneously,
   first-acceptable-result-wins, losers cancelled through the typed
   cancel path, collapsing to local (``backhaul_degraded`` /
-  ``no_remote_slack``) when the WAN cannot help;
-* :mod:`.smoke` — the CI scenario: speculation through a mid-run
-  backhaul outage, 100% deadline hits, clean ``TierConservation``.
+  ``no_remote_slack``) when the WAN cannot help.
 
 Benchmark E20 sweeps deadline-hit-rate against backhaul latency, loss
-and outage fractions versus single-tier baselines.
+and outage fractions versus single-tier baselines; the tier-1 suite
+pins speculation through a mid-run backhaul outage (100% deadline
+hits, clean ``TierConservation``), and the campaign's tiered cells
+replay it under every fault profile.
 """
 
 from .backhaul import BackhaulLink

@@ -36,7 +36,7 @@ second winner).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..core.capacity import BacklogEstimator
 from ..core.tasks import Task, TaskRecord

@@ -4,21 +4,36 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos import InvariantSuite, ServingConservation
 from repro.core import CheckpointHandoverPolicy, ResourceOffer, VehicularCloud
 from repro.errors import ConfigurationError
 from repro.geometry import Vec2
 from repro.mobility import StationaryModel
-from repro.serve import BatchingPolicy, HedgePolicy, ServiceGateway, ServiceRequest
+from repro.serve import (
+    BatchingPolicy,
+    CircuitBreakerBoard,
+    CompositeAdmission,
+    DeadlineFeasibilityAdmission,
+    DeadlineLapseShedder,
+    HedgePolicy,
+    PoissonArrivals,
+    QueueDelayShedder,
+    ServiceGateway,
+    ServiceRequest,
+    TenantFairShareAdmission,
+    TenantSpec,
+    WorkloadGenerator,
+)
 from repro.sim import ScenarioConfig, World
 
 
-def build_cloud(world, members=5, mips=100.0):
+def build_cloud(world, members=5, mips=100.0, name="batch-vc"):
     model = StationaryModel(
         world, positions=[Vec2(i * 40.0, 0.0) for i in range(members)]
     )
     vehicles = model.populate(members)
     cloud = VehicularCloud(
-        world, "batch-vc", handover_policy=CheckpointHandoverPolicy()
+        world, name, handover_policy=CheckpointHandoverPolicy()
     )
     for vehicle in vehicles:
         cloud.admit(
@@ -205,3 +220,61 @@ class TestBatchDispatch:
         assert gateway.stats.batches_dispatched == 0
         assert gateway.stats.completed == 4
         assert_conserved(gateway)
+
+
+class TestBatchingUnderOverload:
+    def test_overloaded_gateway_sheds_batches_and_stays_conserved(self):
+        """Open-loop traffic at about 2x the fleet's capacity behind the
+        protected, hedging gateway: the shedder fires, queued telemetry
+        smalls coalesce into batches, every shed and rejected request
+        carries a typed reason, ServingConservation holds at every
+        periodic check, and the drain window empties the gateway."""
+        world = World(ScenarioConfig(seed=1916))
+        _v, cloud = build_cloud(world, members=8, name="smoke-vc")
+        gateway = ServiceGateway(
+            world,
+            cloud,
+            name="smoke",
+            queue_capacity=32,
+            admission=CompositeAdmission([
+                DeadlineFeasibilityAdmission(),
+                TenantFairShareAdmission(share=0.7),
+            ]),
+            shedders=[DeadlineLapseShedder(), QueueDelayShedder(max_delay_s=4.0)],
+            breakers=CircuitBreakerBoard(world, "smoke"),
+            hedging=HedgePolicy(),
+            batching=BatchingPolicy(
+                max_batch_size=4, max_member_work_mi=50.0, max_batch_work_mi=160.0
+            ),
+        )
+        # 7 workers x 100 MIPS vs ~200 MI tasks is 3.5 tasks/s; bulk and
+        # interactive offer 7/s, plus batchable telemetry smalls.
+        tenants = [
+            TenantSpec(
+                name="bulk", arrivals=PoissonArrivals(4.9),
+                work_mi_range=(150.0, 250.0), deadline_s=8.0, priority=2,
+            ),
+            TenantSpec(
+                name="interactive", arrivals=PoissonArrivals(2.1),
+                work_mi_range=(100.0, 200.0), deadline_s=6.0, priority=1,
+            ),
+            TenantSpec(
+                name="telemetry", arrivals=PoissonArrivals(10.0),
+                work_mi_range=(20.0, 40.0), deadline_s=6.0, priority=1,
+            ),
+        ]
+        WorkloadGenerator(world, gateway, tenants, horizon_s=60.0).start()
+        suite = InvariantSuite([ServingConservation(gateway)], metrics=world.metrics)
+        suite.attach(world, check_interval_s=0.5)
+        world.run_until(60.0 + 30.0)
+
+        stats = gateway.stats
+        assert stats.shed > 0, "load shedder never fired under 2x overload"
+        assert stats.batches_dispatched > 0, "no batch coalesced under overload"
+        assert sum(stats.shed_reasons.values()) == stats.shed
+        assert sum(stats.rejection_reasons.values()) == stats.rejected
+        assert suite.checks_run > 0
+        assert suite.violations == []
+        acc = gateway.accounting()
+        assert acc["offered"] == acc["admitted"] + acc["rejected"]
+        assert acc["queued"] == 0 and acc["inflight"] == 0

@@ -314,6 +314,48 @@ class TestBaselineStore:
             store.ingest_results_dir(str(tmp_path / "empty"))
 
 
+class TestReplayGate:
+    """One seeded run drifting from its blessed vector fails the gate,
+    even when every cell mean stays inside its tolerance band."""
+
+    def test_drifted_run_vector_fails_report_and_cli(self, tmp_path, capsys):
+        from repro.campaign.__main__ import main
+
+        spec = make_spec(
+            matrix=ScenarioMatrix(
+                architectures=("stationary",),
+                workloads=("serving",),
+                fault_profiles=("none",),
+                mobility_models=("stationary",),
+                seeds=(1,),
+            )
+        )
+        run = CampaignOrchestrator(spec, str(tmp_path / "run")).execute()
+        blessed = {"cells": run.cell_vectors(), "runs": run.run_vectors()}
+        (key,) = blessed["runs"]
+        perturbed = json.loads(json.dumps(blessed))
+        perturbed["runs"][key]["serve/admitted"] += 1
+
+        reporter = Reporter.for_spec(spec)
+        assert reporter.compare(run, blessed).ok
+        report = reporter.compare(run, perturbed)
+        assert not report.regressions and not report.violations
+        assert not report.ok
+        assert report.replay_drift == {key: ["serve/admitted"]}
+        assert key in report.to_markdown()
+        assert report.to_dict()["replay_drift"] == {key: ["serve/admitted"]}
+
+        spec_path = str(tmp_path / "spec.json")
+        spec.to_json(spec_path)
+        for name, baseline, status in (("blessed", blessed, 0), ("perturbed", perturbed, 1)):
+            path = str(tmp_path / f"{name}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(baseline, handle)
+            argv = ["run", spec_path, "--baseline", path, "--out", str(tmp_path / name)]
+            assert main(argv) == status, name
+        assert f"{key}: serve/admitted" in capsys.readouterr().out
+
+
 class TestReporterClassification:
     def delta(self, baseline, current, classification, delta=None):
         return MetricDelta(

@@ -215,6 +215,16 @@ class TestRunner:
         assert (a.submitted, a.completed, a.failed) == (b.submitted, b.completed, b.failed)
         assert [v.describe() for v in a.violations] == [v.describe() for v in b.violations]
 
+    def test_run_seed_arms_only_the_given_schedule_subset(self):
+        runner = ChaosRunner(
+            lambda s: stationary_scenario(s, members=6), run_length_s=30.0
+        )
+        full = runner.run_seed(5)
+        subset = runner.run_seed(5, only_indices=[0])
+        assert full.armed == full.schedule_size > 1
+        assert (subset.schedule_size, subset.armed) == (full.schedule_size, 1)
+        assert subset.injected + subset.skipped <= 1
+
     def test_infrastructure_replay_rewinds_rsu_ids(self):
         """An RSU-anchored scenario replays in the same process: the RSU
         id (and the cloud id and metric names built from it) restarts at
@@ -315,23 +325,32 @@ class TestServingConservation:
 
 
 class TestOverloadScenario:
-    def test_campaign_under_overload_stays_conserved(self):
-        from repro.chaos import overload_scenario
+    """The campaign's protected-gateway cell at 2x load, under chaos."""
 
-        runner = ChaosRunner(overload_scenario, run_length_s=30.0)
+    @staticmethod
+    def overloaded_serving_cell(seed):
+        from repro.campaign import RunSpec, build_scenario
+
+        return build_scenario(
+            RunSpec(
+                campaign="chaos-overload",
+                architecture="stationary",
+                workload="serving",
+                fault_profile="none",
+                mobility="stationary",
+                seed=seed,
+                load_factor=2.0,
+            )
+        )
+
+    def test_campaign_under_overload_stays_conserved(self):
+        runner = ChaosRunner(self.overloaded_serving_cell, run_length_s=30.0)
         result = runner.run_seed(21)
         assert result.ok, [v.describe() for v in result.violations]
 
     def test_scenario_actually_overloads(self):
-        from repro.chaos import overload_scenario
-
-        scenario = overload_scenario(31)
-        scenario.world.run_until(40.0)
-        gateway_metrics = scenario.world.metrics
-        shed = sum(
-            gateway_metrics.counters_under("serve/chaos-overload/shed").values()
-        )
-        rejected = sum(
-            gateway_metrics.counters_under("serve/chaos-overload/rejected").values()
-        )
+        runner = ChaosRunner(self.overloaded_serving_cell, run_length_s=40.0)
+        metrics = runner.run_seed(31).scenario.world.metrics
+        shed = sum(metrics.counters_under("serve/campaign/shed").values())
+        rejected = sum(metrics.counters_under("serve/campaign/rejected").values())
         assert shed + rejected > 0, "2x load produced no shedding or rejection"

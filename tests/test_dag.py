@@ -10,9 +10,9 @@ from repro.chaos import DagConservation, InvariantSuite, TaskConservation
 from repro.core.race import Race
 from repro.core import (
     BackoffPolicy,
+    BacklogEstimator,
     CheckpointHandoverPolicy,
     ResourceOffer,
-    Task,
     VehicularCloud,
 )
 from repro.dag import (
@@ -52,14 +52,14 @@ def diamond(deadline_s=None) -> TaskGraph:
 
 
 def build_cloud(world, members=5, mips=100.0, heterogeneous=False,
-                leases=True, storage=True):
+                leases=True, storage=True, name="dag-test-vc"):
     model = StationaryModel(
         world, positions=[Vec2(i * 40.0, 0) for i in range(members)]
     )
     vehicles = model.populate(members)
     cloud = VehicularCloud(
         world,
-        "dag-test-vc",
+        name,
         handover_policy=CheckpointHandoverPolicy(),
         retry_backoff=BackoffPolicy(
             base_delay_s=0.5, multiplier=2.0, max_delay_s=8.0, jitter_fraction=0.1
@@ -531,6 +531,63 @@ class TestDagConservationInvariant:
         assert suite.violations == []
         assert scheduler.accounting()["records_running"] == 0
 
+    def test_capacity_aware_plans_hold_through_churn_run(self):
+        """Staggered pipeline and map-reduce graphs on heterogeneous
+        workers while a third of the members crash: every graph reaches
+        a typed terminal state, the graph and replica streams balance,
+        task and DAG conservation hold at every check, and with the
+        shared backlog estimator the planner ledgers a predicted
+        deadline hit."""
+        world = World(ScenarioConfig(seed=1717))
+        _v, cloud = build_cloud(
+            world, members=10, mips=70.0, heterogeneous=True, name="dag-smoke-vc"
+        )
+        scheduler = DagScheduler(
+            world,
+            cloud,
+            name="smoke",
+            reliability=ReliabilityEstimator(cloud),
+            redundancy=RedundancyPlanner(target_success=0.99, max_replicas=3),
+            checkpointing=True,
+            backlog=BacklogEstimator(cloud),
+        )
+        templates = [
+            pipeline_template([(800.0, 1200.0)] * 3, deadline_s=120.0),
+            map_reduce_template(3, (500.0, 900.0), (600.0, 800.0), deadline_s=120.0),
+        ]
+        rng = world.rng.fork("dag/smoke")
+        for index in range(6):
+            template = templates[index % len(templates)]
+            world.engine.schedule_at(
+                index * 5.0,
+                lambda t=template: scheduler.submit(t.instantiate(rng, submitter="smoke")),
+                label="graph-submit",
+            )
+        targets = [m for m in cloud.membership.member_ids() if m != cloud.head_id]
+        plan = FaultPlan(1717).random_crashes(3, (10.0, 60.0), targets=targets)
+        FaultInjector(world, plan, cloud=cloud).arm()
+        suite = InvariantSuite(
+            [TaskConservation(cloud), DagConservation(scheduler)], metrics=world.metrics
+        )
+        suite.attach(world, check_interval_s=0.5)
+        world.run_until(240.0)
+
+        acc = scheduler.accounting()
+        stats = scheduler.stats
+        assert acc["graphs_submitted"] == 6
+        assert not [r for r in scheduler.records if r.state is GraphState.RUNNING]
+        assert sum(stats.failure_reasons.values()) == stats.graphs_failed
+        assert acc["replicas_live"] == 0
+        assert suite.violations == []
+        assert cloud.stats.worker_crashes > 0, "the fault plan never fired"
+        # Plans made during a candidate drought fall back to the static
+        # rule; the rest ledger the capacity-aware prediction.
+        assert any(
+            run.last_plan is not None and run.last_plan.predicted_deadline_hit is not None
+            for record in scheduler.records
+            for run in record.stages.values()
+        )
+
     def test_detects_tampered_counters(self, world):
         _v, cloud = build_cloud(world)
         scheduler = dependable_scheduler(world, cloud)
@@ -690,13 +747,9 @@ class TestTracing:
 
 class TestDeterminism:
     def _run_once(self, seed: int):
-        from repro.core.tasks import reset_task_ids
-        from repro.dag.graph import reset_graph_ids
-        from repro.mobility.vehicle import reset_vehicle_ids
+        from repro.ids import reset_global_ids
 
-        reset_task_ids()
-        reset_vehicle_ids()
-        reset_graph_ids()
+        reset_global_ids()
         world = World(ScenarioConfig(seed=seed))
         _v, cloud = build_cloud(world, members=6, heterogeneous=True)
         scheduler = DagScheduler(

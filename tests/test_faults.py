@@ -384,12 +384,12 @@ class TestFaultInjector:
         assert world.metrics.counter("faults/injected") == 3
 
     def test_ledger_deterministic_across_runs(self):
-        from repro.mobility.vehicle import reset_vehicle_ids
+        from repro.ids import reset_global_ids
 
         def run():
-            # Rewind the process-global vehicle id counter so both runs
-            # mint identical ids and the ledgers compare byte-identical.
-            reset_vehicle_ids()
+            # Rewind the process-global id counters so both runs mint
+            # identical ids and the ledgers compare byte-identical.
+            reset_global_ids()
             world = lossless_world(seed=21)
             vehicles, cloud = make_cloud(world, members=6)
             plan = FaultPlan(9).random_crashes(3, window=(1.0, 20.0))
@@ -524,9 +524,9 @@ class TestArmSubsetting:
     def _victims(self, only=None, targets=False):
         # Vehicle ids come from a process-global counter and feed the
         # fire-time victim sort; rewind for cross-run comparability.
-        from repro.mobility.vehicle import reset_vehicle_ids
+        from repro.ids import reset_global_ids
 
-        reset_vehicle_ids()
+        reset_global_ids()
         world = lossless_world(seed=33)
         vehicles, cloud = make_cloud(world, members=8)
         pool = [v.vehicle_id for v in vehicles] if targets else None

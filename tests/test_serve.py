@@ -15,12 +15,12 @@ from repro.core import (
 from repro.chaos import ServingConservation
 from repro.core.race import Race
 from repro.core.scheduler import WorkerCandidate
-from repro.core.tasks import TaskState, reset_task_ids
+from repro.core.tasks import TaskState
 from repro.errors import ConfigurationError
 from repro.faults import BackoffPolicy
 from repro.geometry import Vec2
+from repro.ids import reset_global_ids
 from repro.mobility import StationaryModel
-from repro.mobility.vehicle import reset_vehicle_ids
 from repro.serve import (
     AdmitAll,
     BoundedPriorityQueue,
@@ -108,8 +108,7 @@ class TestArrivalProcesses:
 
 class TestWorkloadGenerator:
     def _run(self, seed):
-        reset_task_ids()
-        reset_vehicle_ids()
+        reset_global_ids()
         world, _v, cloud = build_cloud(seed=seed)
         gateway = ServiceGateway(world, cloud, name="gw", queue_capacity=None)
         tenants = [
@@ -140,8 +139,7 @@ class TestWorkloadGenerator:
         assert world1.metrics.snapshot() == world2.metrics.snapshot()
 
     def test_start_is_idempotent(self):
-        reset_task_ids()
-        reset_vehicle_ids()
+        reset_global_ids()
         world, _v, cloud = build_cloud()
         gateway = ServiceGateway(world, cloud, name="gw")
         generator = WorkloadGenerator(
@@ -585,8 +583,7 @@ class TestGatewayWiring:
 
     def test_seeded_run_metrics_byte_identical(self):
         def run():
-            reset_task_ids()
-            reset_vehicle_ids()
+            reset_global_ids()
             world, _v, cloud = build_cloud(seed=23, members=6)
             gateway = ServiceGateway(
                 world, cloud, name="gw", queue_capacity=16,

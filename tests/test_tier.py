@@ -23,14 +23,14 @@ from repro.core import (
     VehicularCloud,
 )
 from repro.core.race import Race
-from repro.core.tasks import TaskState, reset_task_ids
+from repro.core.tasks import TaskState
 from repro.errors import ConfigurationError
 from repro.faults.backhaul import BackhaulFaultDriver
 from repro.faults.plan import FaultPlan
 from repro.geometry import Vec2
+from repro.ids import reset_global_ids
 from repro.infra.central_cloud import CentralCloud
 from repro.mobility import StationaryModel
-from repro.mobility.vehicle import reset_vehicle_ids
 from repro.serve import HedgePolicy, ServiceGateway, ServiceRequest
 from repro.sim import ScenarioConfig, World
 from repro.tier import (
@@ -505,19 +505,79 @@ class TestTierHealth:
 # ---------------------------------------------------------------------------
 
 
+#: The outage scenario: a steady stream of deadline tasks speculating
+#: across a parked v-cloud and a fast central cloud while a partition
+#: cuts the backhaul mid-run.
+OUTAGE_MEMBERS = 6
+OUTAGE_TASKS = 20
+OUTAGE_TASK_INTERVAL_S = 2.0
+OUTAGE_DEADLINE_S = 10.0
+OUTAGE_WORK_MI = 600.0
+OUTAGE_AT_S = 15.0
+OUTAGE_S = 10.0
+OUTAGE_HORIZON_S = 80.0
+
+
+def build_outage_scenario(seed):
+    """Two tiers, the task stream, the outage and a conservation suite.
+
+    Returns ``(world, offloader, suite, driver)``, not yet run.
+    """
+    world = World(ScenarioConfig(seed=seed))
+    model = StationaryModel(
+        world, positions=[Vec2(i * 30.0, 0.0) for i in range(OUTAGE_MEMBERS)]
+    )
+    vehicles = model.populate(OUTAGE_MEMBERS)
+    cloud = VehicularCloud(world, "tier-smoke-local")
+    for vehicle in vehicles:
+        cloud.admit(
+            vehicle,
+            offer=ResourceOffer(vehicle.vehicle_id, 200.0, 10**9, 1e6),
+        )
+
+    central = CentralCloud(world, compute_mips=50_000.0, wan_delay_s=0.04)
+    link = BackhaulLink(
+        world, "smoke-wan", base_latency_s=0.05, jitter_s=0.01, loss_probability=0.02
+    )
+    topology = TierTopology()
+    topology.register(VCloudTier(world, "local-vc", "local", cloud))
+    topology.register(CentralCloudTier(world, "central", central, link))
+    offloader = TieredOffloader(
+        world, topology, health=TierHealthTracker(world), name="smoke"
+    )
+
+    for index in range(OUTAGE_TASKS):
+        world.engine.schedule_at(
+            index * OUTAGE_TASK_INTERVAL_S,
+            lambda: offloader.submit(
+                Task(work_mi=OUTAGE_WORK_MI, deadline_s=OUTAGE_DEADLINE_S, submitter="smoke"),
+                policy="speculate",
+            ),
+            label="tier-smoke-submit",
+        )
+
+    plan = FaultPlan(seed).partition(OUTAGE_AT_S, duration_s=OUTAGE_S)
+    driver = BackhaulFaultDriver(world.engine, link, plan)
+    driver.arm()
+
+    suite = InvariantSuite(
+        [TaskConservation(cloud), TierConservation(offloader)],
+        metrics=world.metrics,
+    )
+    suite.attach(world, check_interval_s=0.5)
+    return world, offloader, suite, driver
+
+
 class TestDeterminismAndConservation:
     def _run_smoke(self, seed):
-        from repro.tier.smoke import HORIZON_S, build
-
-        reset_task_ids()
-        reset_vehicle_ids()
-        world, offloader, suite, driver = build(seed)
-        world.run_until(HORIZON_S)
-        return world, offloader, suite
+        reset_global_ids()
+        world, offloader, suite, driver = build_outage_scenario(seed)
+        world.run_until(OUTAGE_HORIZON_S)
+        return world, offloader, suite, driver
 
     def test_seeded_replay_is_identical(self):
-        world1, off1, suite1 = self._run_smoke(77)
-        world2, off2, suite2 = self._run_smoke(77)
+        world1, off1, suite1, _driver1 = self._run_smoke(77)
+        world2, off2, suite2, _driver2 = self._run_smoke(77)
         assert off1.accounting() == off2.accounting()
         assert off1.stats.wins_by_tier == off2.stats.wins_by_tier
         assert off1.stats.degraded == off2.stats.degraded
@@ -525,11 +585,21 @@ class TestDeterminismAndConservation:
         assert not suite1.violations and not suite2.violations
 
     def test_smoke_scenario_is_conservation_clean(self):
-        world, offloader, suite = self._run_smoke(2024)
+        """Speculation through the outage: every task resolves inside its
+        deadline, both halves of the mechanism engage, and task and tier
+        conservation hold at every check."""
+        world, offloader, suite, driver = self._run_smoke(2024)
         assert suite.checks_run > 0
         assert suite.violations == []
         acc = offloader.accounting()
         assert acc["live"] == 0 and acc["attempts_live"] == 0
+        assert acc["submitted"] == OUTAGE_TASKS
+        stats = offloader.stats
+        # The outage costs latency, never deadline safety.
+        assert (stats.deadline_hits, stats.deadline_misses) == (OUTAGE_TASKS, 0)
+        assert driver.ledger, "the backhaul outage never fired"
+        assert stats.degraded.get("backhaul_degraded", 0) > 0
+        assert stats.speculated > 0 and stats.attempts_cancelled > 0
 
 
 # ---------------------------------------------------------------------------
