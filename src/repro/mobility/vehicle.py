@@ -4,6 +4,11 @@ A :class:`Vehicle` is pure state plus kinematic helpers; movement is
 driven by a mobility model (``repro.mobility.models``), communication by
 the network node wrapper (``repro.net.node``).  Keeping those concerns
 separate lets tests exercise kinematics without a network and vice versa.
+
+Anything may write ``vehicle.position`` (mobility models, fault
+teleports, tests), so a vehicle tells its watchers about every write:
+that is how a wireless channel keeps its spatial index current without
+re-reading the whole fleet before each query.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Optional, Tuple
 
 from ..geometry import Vec2, heading_difference
 from .equipment import AutomationLevel, OnboardEquipment
@@ -36,6 +41,10 @@ def reset_vehicle_ids() -> None:
     _vehicle_counter = itertools.count(1)
 
 
+#: Called with no arguments after each write of ``Vehicle.position``.
+PositionWatcher = Callable[[], None]
+
+
 @dataclass
 class Vehicle:
     """A single vehicle's physical state.
@@ -51,6 +60,9 @@ class Vehicle:
         Scalar speed along ``heading_rad``.
     heading_rad:
         Direction of travel in radians.
+
+    Every write of ``position`` runs the watchers registered with
+    :meth:`watch_position`, in registration order, after the write.
     """
 
     vehicle_id: str = field(default_factory=next_vehicle_id)
@@ -60,6 +72,29 @@ class Vehicle:
     automation_level: AutomationLevel = AutomationLevel.HIGH_AUTOMATION
     equipment: OnboardEquipment = field(default_factory=OnboardEquipment)
     parked: bool = False
+    # Not an init field: the dataclass leaves the default ``()`` on the
+    # class, which serves every vehicle until its first watcher arrives.
+    _position_watchers: Tuple[PositionWatcher, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+
+    # A write hook rather than a ``position`` property, so the far more
+    # frequent reads stay plain attribute lookups.
+    def __setattr__(self, name: str, value: Any) -> None:
+        object.__setattr__(self, name, value)
+        if name == "position":
+            for watcher in self._position_watchers:
+                watcher()
+
+    def watch_position(self, watcher: PositionWatcher) -> None:
+        """Run ``watcher`` after every later write of :attr:`position`."""
+        self._position_watchers = self._position_watchers + (watcher,)
+
+    def unwatch_position(self, watcher: PositionWatcher) -> None:
+        """Stop running a watcher added by :meth:`watch_position`."""
+        watchers = list(self._position_watchers)
+        watchers.remove(watcher)
+        self._position_watchers = tuple(watchers)
 
     @property
     def velocity(self) -> Vec2:

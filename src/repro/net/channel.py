@@ -12,12 +12,17 @@ constraints" arguments turn on.
 
 Range queries (``neighbors_of``, ``broadcast`` receiver sets, tap
 audibility) run through the world's :class:`~repro.sim.spatial.SpatialGrid`
-rather than brute-force pairwise scans.  A per-tick neighbor cache —
-invalidated on movement (detected by an identity-compare sweep of node
-positions), attach and detach — keeps repeated queries within one event
-free.  Construct with ``use_spatial_index=False`` to get the original
-full-scan implementation; it is kept as the correctness oracle and the
-"before" baseline of experiment E13, and returns byte-identical results.
+rather than brute-force pairwise scans.  The grid is write-tracked: a
+node that can report position writes (a :class:`~repro.net.node.VehicleNode`
+forwards its vehicle's) gets a watcher on attach, and before each query
+the channel re-buckets only the nodes written since the last query.
+Nodes that cannot report writes are re-read before every query.  So a
+broadcast costs its receivers, not the fleet.  A per-tick neighbor
+cache — invalidated when a re-bucketed node really moved, and on attach
+and detach — keeps repeated queries within one event free.  Construct
+with ``use_spatial_index=False`` to get the original full-scan
+implementation; it is kept as the correctness oracle and the "before"
+baseline of experiment E13, and returns byte-identical results.
 
 Attack hooks: *taps* passively observe frames near an adversary
 (eavesdropping, traffic-flow analysis); *interceptors* may drop, delay
@@ -35,15 +40,19 @@ engine queue, so traced runs keep byte-identical seeded metrics.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, runtime_checkable
 
 from ..errors import NetworkError
-from ..geometry import ORIGIN, Vec2
+from ..geometry import Vec2
 from ..sim.config import ChannelConfig
 from ..sim.spatial import SpatialGrid
 from ..sim.world import World
 from .messages import Message
+
+if TYPE_CHECKING:
+    from ..obs import Tracer
 
 #: Below this many taps a linear audibility scan beats grid upkeep.
 _TAP_INDEX_THRESHOLD = 8
@@ -59,6 +68,19 @@ class ChannelNode(Protocol):
     def position(self) -> Vec2: ...
 
     def deliver(self, message: Message, from_id: str) -> None: ...
+
+
+@runtime_checkable
+class ReportsPositionWrites(Protocol):
+    """A node that runs a watcher after every change of its ``position``.
+
+    The channel re-buckets such a node only when its watcher ran; it
+    re-reads any other node before every indexed query.
+    """
+
+    def watch_position(self, watcher: Callable[[], None]) -> None: ...
+
+    def unwatch_position(self, watcher: Callable[[], None]) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -92,7 +114,7 @@ class InterceptVerdict:
 
     @staticmethod
     def passthrough() -> "InterceptVerdict":
-        return InterceptVerdict(InterceptAction.PASS)
+        return _PASS
 
     @staticmethod
     def drop() -> "InterceptVerdict":
@@ -112,6 +134,10 @@ class InterceptVerdict:
         if copies < 1:
             raise NetworkError("duplicate verdict needs copies >= 1")
         return InterceptVerdict(InterceptAction.DUPLICATE, copies=copies)
+
+
+#: The one pass verdict: verdicts are frozen, so every pass can share it.
+_PASS = InterceptVerdict(InterceptAction.PASS)
 
 
 class Tap(Protocol):
@@ -148,6 +174,12 @@ class WirelessChannel:
             world.claim_spatial_grid(self) if use_spatial_index else None
         )
         self._neighbor_cache: Dict[str, List[ChannelNode]] = {}
+        # Write tracking for the grid: the nodes written since the last
+        # sync, how to stop each reporting node's watcher, and the nodes
+        # that cannot report writes and so are re-read.
+        self._written: Dict[str, ChannelNode] = {}
+        self._unwatch: Dict[str, Callable[[], None]] = {}
+        self._polled: Dict[str, ChannelNode] = {}
         self._tap_grid: Optional["SpatialGrid[int]"] = None
         self._tap_reach_m = 0.0
 
@@ -155,24 +187,30 @@ class WirelessChannel:
 
     def attach(self, node: ChannelNode) -> None:
         """Attach a node to the medium."""
-        if node.node_id in self._nodes:
-            raise NetworkError(f"node already attached: {node.node_id!r}")
-        self._nodes[node.node_id] = node
+        node_id = node.node_id
+        if node_id in self._nodes:
+            raise NetworkError(f"node already attached: {node_id!r}")
         if self._grid is not None:
-            try:
-                position = node.position
-            except Exception:
-                # Subclass constructors attach before their position
-                # backing field exists; the pre-query sweep corrects it.
-                position = ORIGIN
-            self._grid.insert(node.node_id, position)
+            self._grid.insert(node_id, node.position)
+            if isinstance(node, ReportsPositionWrites):
+                watcher = functools.partial(self._written.__setitem__, node_id, node)
+                node.watch_position(watcher)
+                self._unwatch[node_id] = functools.partial(node.unwatch_position, watcher)
+            else:
+                self._polled[node_id] = node
             self._neighbor_cache.clear()
+        self._nodes[node_id] = node
 
     def detach(self, node_id: str) -> None:
         """Detach a node; pending deliveries to it are lost."""
         self._nodes.pop(node_id, None)
         if self._grid is not None:
             self._grid.remove(node_id)
+            self._written.pop(node_id, None)
+            self._polled.pop(node_id, None)
+            unwatch = self._unwatch.pop(node_id, None)
+            if unwatch is not None:
+                unwatch()
             self._neighbor_cache.clear()
 
     def is_attached(self, node_id: str) -> bool:
@@ -199,17 +237,21 @@ class WirelessChannel:
     def _sync_index(self) -> None:
         """Bring the grid in line with live node positions.
 
-        Entities mutate their positions directly (mobility models, fault
-        teleports, tests), so before any indexed query we sweep the
-        attached nodes and re-bucket the ones that moved.  Unmoved nodes
-        keep the same ``Vec2`` object, making the common case one
-        identity comparison; any detected movement invalidates the
-        per-tick neighbor cache.
+        Entities write their positions directly (mobility models, fault
+        teleports, tests).  Before any indexed query the channel
+        re-buckets the nodes whose watchers reported a write since the
+        last sync, and re-reads the nodes that cannot report writes.  A
+        write of an equal position is not a move; any real move
+        invalidates the per-tick neighbor cache.
         """
         grid = self._grid
         assert grid is not None
         moved = False
-        for node_id, node in self._nodes.items():
+        for node_id, node in self._written.items():
+            if grid.move_if_changed(node_id, node.position):
+                moved = True
+        self._written.clear()
+        for node_id, node in self._polled.items():
             if grid.move_if_changed(node_id, node.position):
                 moved = True
         if moved:
@@ -277,8 +319,8 @@ class WirelessChannel:
         """
         src = self.node(src_id)
         dst = self._nodes.get(dst_id)
-        frame = Frame(src_id, dst_id, message, self.world.now)
-        self._offer_to_taps(frame, src)
+        if self._taps:
+            self._offer_to_taps(Frame(src_id, dst_id, message, self.world.now), src)
         self.world.metrics.increment("channel/frames_sent")
         self.world.metrics.increment("channel/bytes_sent", message.total_bytes)
         tracer = self.world.tracer
@@ -288,14 +330,18 @@ class WirelessChannel:
             if span is not None and tracer is not None:
                 tracer.end_span(span, "dropped", {"reason": "unreachable"})
             return False
-        self._dispatch(frame, src, dst, span=span)
+        tally = [0, 0, 0]
+        try:
+            self._dispatch(src, dst, message, tally, span=span)
+        finally:
+            self._count_frames(tally)
         return True
 
     def broadcast(self, src_id: str, message: Message) -> int:
         """Transmit to every in-range node; returns the receiver count."""
         src = self.node(src_id)
-        frame = Frame(src_id, None, message, self.world.now)
-        self._offer_to_taps(frame, src)
+        if self._taps:
+            self._offer_to_taps(Frame(src_id, None, message, self.world.now), src)
         self.world.metrics.increment("channel/frames_sent")
         self.world.metrics.increment("channel/bytes_sent", message.total_bytes)
         receivers = self.neighbors_of(src_id)
@@ -307,22 +353,20 @@ class WirelessChannel:
         contention = len(receivers) if self._grid is not None else None
         parent_span = self._frame_span("msg.broadcast", message, src_id, None)
         tracer = self.world.tracer
-        for dst in receivers:
-            child = None
-            if parent_span is not None and tracer is not None:
-                child = tracer.start_span(
-                    "msg.delivery",
-                    subsystem="net",
-                    parent=parent_span,
-                    attrs={"dst": dst.node_id},
-                )
-            self._dispatch(
-                Frame(src_id, dst.node_id, message, self.world.now),
-                src,
-                dst,
-                contention=contention,
-                span=child,
-            )
+        tally = [0, 0, 0]
+        try:
+            for dst in receivers:
+                child = None
+                if parent_span is not None and tracer is not None:
+                    child = tracer.start_span(
+                        "msg.delivery",
+                        subsystem="net",
+                        parent=parent_span,
+                        attrs={"dst": dst.node_id},
+                    )
+                self._dispatch(src, dst, message, tally, contention=contention, span=child)
+        finally:
+            self._count_frames(tally)
         if parent_span is not None and tracer is not None:
             tracer.end_span(parent_span, "ok", {"receivers": len(receivers)})
         return len(receivers)
@@ -349,10 +393,24 @@ class WirelessChannel:
             },
         )
 
+    def _count_frames(self, tally: List[int]) -> None:
+        """Add one transmission's per-frame counters to the metrics.
+
+        ``tally`` is ``[dispatched, lost, scheduled]`` over the frames
+        of one unicast or broadcast.  A zero is skipped, so no counter
+        appears that the per-frame increments would not have created.
+        """
+        metrics = self.world.metrics
+        dispatched, lost, scheduled = tally
+        if dispatched:
+            metrics.increment("channel/frames_dispatched", dispatched)
+        if lost:
+            metrics.increment("channel/frames_lost", lost)
+        if scheduled:
+            metrics.increment("channel/frames_scheduled", scheduled)
+
     def _offer_to_taps(self, frame: Frame, src: ChannelNode) -> None:
         taps = self._taps
-        if not taps:
-            return
         if self._grid is None or len(taps) < _TAP_INDEX_THRESHOLD:
             for tap in taps:
                 if tap.position.distance_to(src.position) <= tap.listen_range_m:
@@ -389,7 +447,7 @@ class WirelessChannel:
             verdict = interceptor(frame)
             if verdict.action is not InterceptAction.PASS:
                 return verdict
-        return InterceptVerdict.passthrough()
+        return _PASS
 
     def _loss_probability(self, distance_m: float) -> float:
         loss = (
@@ -411,9 +469,10 @@ class WirelessChannel:
 
     def _dispatch(
         self,
-        frame: Frame,
         src: ChannelNode,
         dst: ChannelNode,
+        message: Message,
+        tally: List[int],
         contention: Optional[int] = None,
         span=None,
     ) -> None:
@@ -422,17 +481,22 @@ class WirelessChannel:
         #   frames_dispatched + frames_duplicated ==
         #       frames_suppressed + frames_lost + frames_scheduled
         # and frames_scheduled - frames_delivered - frames_to_departed is
-        # the number of frames still in flight (never negative).
-        self.world.metrics.increment("channel/frames_dispatched")
+        # the number of frames still in flight (never negative).  The
+        # dispatched, lost and scheduled frames go into ``tally``, which
+        # the caller adds to the metrics once per unicast or broadcast.
+        tally[0] += 1
         tracer = self.world.tracer if span is not None else None
-        verdict = self._run_interceptors(frame)
+        verdict = (
+            self._run_interceptors(Frame(src.node_id, dst.node_id, message, self.world.now))
+            if self._interceptors
+            else _PASS
+        )
         if verdict.action is InterceptAction.DROP:
             self.world.metrics.increment("channel/frames_suppressed")
             if tracer is not None:
                 tracer.link_active_faults(span)
                 tracer.end_span(span, "dropped", {"reason": "intercepted"})
             return
-        message = frame.message
         extra_delay = 0.0
         transmissions = 1
         if verdict.action is InterceptAction.DELAY:
@@ -457,31 +521,12 @@ class WirelessChannel:
         loss_probability = self._loss_probability(distance)
         if contention is None:
             contention = self.neighbor_count(src.node_id)
-        delay = self.latency(distance, message.total_bytes, contention)
-        delivered = message
-        from_id = frame.src_id
-        dst_id = dst.node_id
-
-        def _deliver() -> None:
-            target = self._nodes.get(dst_id)
-            if target is None:
-                self.world.metrics.increment("channel/frames_to_departed")
-                if tracer is not None:
-                    tracer.end_span(span, "dropped", {"reason": "departed"})
-                return
-            self.world.metrics.increment("channel/frames_delivered")
-            self.world.metrics.observe("channel/delivery_latency_s", delay + extra_delay)
-            if tracer is not None:
-                # The first delivery closes the span; duplicates land as
-                # events on the already-closed span (end_span is first-
-                # close-wins).
-                if span.ended:
-                    tracer.add_event(span, "duplicate_delivered")
-                else:
-                    tracer.end_span(
-                        span, "delivered", {"latency_s": delay + extra_delay}
-                    )
-            target.deliver(delivered, from_id)
+        latency = self.latency(distance, message.total_bytes, contention) + extra_delay
+        # One delivery callback serves every copy; the engine calls it
+        # with no arguments.
+        deliver = functools.partial(
+            self._deliver, dst.node_id, message, src.node_id, latency, tracer, span
+        )
 
         # Each (possibly duplicated) transmission faces the link loss
         # independently; the common single-transmission path draws from
@@ -489,14 +534,41 @@ class WirelessChannel:
         scheduled = 0
         for _ in range(transmissions):
             if self.rng.chance(loss_probability):
-                self.world.metrics.increment("channel/frames_lost")
+                tally[1] += 1
                 if tracer is not None:
                     tracer.add_event(span, "lost")
                 continue
-            self.world.engine.schedule(delay + extra_delay, _deliver, label="frame-delivery")
+            self.world.engine.schedule(latency, deliver, label="frame-delivery")
             scheduled += 1
-        if scheduled:
-            self.world.metrics.increment("channel/frames_scheduled", scheduled)
+        tally[2] += scheduled
         if tracer is not None and scheduled == 0:
             tracer.link_active_faults(span)
             tracer.end_span(span, "dropped", {"reason": "loss"})
+
+    def _deliver(
+        self,
+        dst_id: str,
+        message: Message,
+        from_id: str,
+        latency: float,
+        tracer: Optional["Tracer"],
+        span,
+    ) -> None:
+        """Hand a frame that survived the air to its receiver, if still attached."""
+        target = self._nodes.get(dst_id)
+        if target is None:
+            self.world.metrics.increment("channel/frames_to_departed")
+            if tracer is not None:
+                tracer.end_span(span, "dropped", {"reason": "departed"})
+            return
+        self.world.metrics.increment("channel/frames_delivered")
+        self.world.metrics.observe("channel/delivery_latency_s", latency)
+        if tracer is not None:
+            # The first delivery closes the span; duplicates land as
+            # events on the already-closed span (end_span is first-
+            # close-wins).
+            if span.ended:
+                tracer.add_event(span, "duplicate_delivered")
+            else:
+                tracer.end_span(span, "delivered", {"latency_s": latency})
+        target.deliver(message, from_id)

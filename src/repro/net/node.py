@@ -3,6 +3,8 @@
 A :class:`NetworkNode` gives an entity (vehicle, RSU, base station) a
 presence on the wireless channel: an id, a position, a radio range, and
 a dispatch table of message handlers keyed by :class:`MessageKind`.
+The node attaches itself in ``NetworkNode.__init__``, so a subclass
+sets whatever its ``position`` reads before calling it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..geometry import Vec2
-from ..mobility.vehicle import Vehicle
+from ..mobility.vehicle import PositionWatcher, Vehicle
 from ..sim.world import World
 from .channel import WirelessChannel
 from .messages import Message, MessageKind
@@ -103,12 +105,20 @@ class VehicleNode(NetworkNode):
         range_m = (
             radio_range_m if radio_range_m is not None else world.config.channel.v2v_range_m
         )
-        super().__init__(world, channel, vehicle.vehicle_id, range_m)
         self.vehicle = vehicle
+        super().__init__(world, channel, vehicle.vehicle_id, range_m)
 
     @property
     def position(self) -> Vec2:
         return self.vehicle.position
+
+    def watch_position(self, watcher: PositionWatcher) -> None:
+        """Run ``watcher`` after every write of the vehicle's position."""
+        self.vehicle.watch_position(watcher)
+
+    def unwatch_position(self, watcher: PositionWatcher) -> None:
+        """Stop running a watcher added by :meth:`watch_position`."""
+        self.vehicle.unwatch_position(watcher)
 
 
 class FixedNode(NetworkNode):
@@ -122,8 +132,8 @@ class FixedNode(NetworkNode):
         position: Vec2,
         radio_range_m: float,
     ) -> None:
-        super().__init__(world, channel, node_id, radio_range_m)
         self._position = position
+        super().__init__(world, channel, node_id, radio_range_m)
 
     @property
     def position(self) -> Vec2:

@@ -33,8 +33,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -59,49 +59,50 @@ class CallbackFailure:
         return f"t={self.time:.6f} [{self.label}] {self.error}"
 
 
-@dataclass(order=True)
-class _QueuedEvent:
-    """Internal heap entry; ordering is (time, sequence)."""
-
-    time: float
-    sequence: int
-    callback: EventCallback = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-    fired: bool = field(compare=False, default=False)
-
-
 class EventHandle:
-    """Handle returned by ``schedule`` allowing cancellation."""
+    """One scheduled callback, and the handle ``schedule`` returns for it.
 
-    __slots__ = ("_event", "_engine")
+    The heap holds ``(time, sequence, handle)`` tuples, so ordering is a
+    C-level tuple comparison that never reaches the handle itself: the
+    sequence number is unique, which breaks every time tie.
+    """
 
-    def __init__(self, event: _QueuedEvent, engine: "Engine") -> None:
-        self._event = event
+    __slots__ = ("_time", "_callback", "_label", "_cancelled", "_fired", "_engine")
+
+    def __init__(
+        self, time: float, callback: EventCallback, label: str, engine: "Engine"
+    ) -> None:
+        self._time = time
+        self._callback = callback
+        self._label = label
+        self._cancelled = False
+        self._fired = False
         self._engine = engine
 
     @property
     def time(self) -> float:
         """Scheduled virtual time of the event."""
-        return self._event.time
+        return self._time
 
     @property
     def label(self) -> str:
         """Human-readable label of the event."""
-        return self._event.label
+        return self._label
 
     @property
     def cancelled(self) -> bool:
         """Whether the event has been cancelled."""
-        return self._event.cancelled
+        return self._cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing; idempotent."""
-        event = self._event
-        if event.cancelled or event.fired:
+        if self._cancelled or self._fired:
             return
-        event.cancelled = True
+        self._cancelled = True
         self._engine._note_cancellation()
+
+
+_Entry = Tuple[float, int, EventHandle]
 
 
 class Engine:
@@ -113,7 +114,7 @@ class Engine:
                 f"error_policy must be one of {ERROR_POLICIES}, got {error_policy!r}"
             )
         self._now = 0.0
-        self._queue: List[_QueuedEvent] = []
+        self._queue: List[_Entry] = []
         self._sequence = itertools.count()
         self._events_executed = 0
         self._cancelled_pending = 0
@@ -164,8 +165,8 @@ class Engine:
         """
         return sum(
             1
-            for event in self._queue
-            if not event.cancelled and not event.fired and event.label == label
+            for _, _, event in self._queue
+            if not event._cancelled and not event._fired and event._label == label
         )
 
     # -- error handling ------------------------------------------------------
@@ -224,19 +225,20 @@ class Engine:
 
     def schedule(self, delay: float, callback: EventCallback, label: str = "") -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        # Written so that NaN, for which every comparison is false, fails.
+        if not delay >= 0:
+            raise SimulationError(f"delay must be a non-negative number, got {delay}")
         return self.schedule_at(self._now + delay, callback, label)
 
     def schedule_at(self, when: float, callback: EventCallback, label: str = "") -> EventHandle:
         """Schedule ``callback`` at absolute virtual time ``when``."""
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={when:.6f}, clock already at t={self._now:.6f}"
             )
-        event = _QueuedEvent(when, next(self._sequence), callback, label)
-        heapq.heappush(self._queue, event)
-        return EventHandle(event, self)
+        event = EventHandle(when, callback, label, self)
+        heapq.heappush(self._queue, (when, next(self._sequence), event))
+        return event
 
     def call_every(
         self,
@@ -266,20 +268,23 @@ class Engine:
         self._cancelled_pending += 1
         # Lazy compaction: once cancelled events dominate the heap,
         # rebuild it so long runs with heavy cancellation stay O(live).
+        # In place: ``run_until`` holds the list while a callback cancels.
+        queue = self._queue
         if (
             self._cancelled_pending > _COMPACT_THRESHOLD
-            and self._cancelled_pending * 2 >= len(self._queue)
+            and self._cancelled_pending * 2 >= len(queue)
         ):
-            self._queue = [event for event in self._queue if not event.cancelled]
-            heapq.heapify(self._queue)
+            queue[:] = [entry for entry in queue if not entry[2]._cancelled]
+            heapq.heapify(queue)
             self._cancelled_pending = 0
 
-    def _pop_live_event(self) -> Optional[_QueuedEvent]:
+    def _pop_live_event(self) -> Optional[EventHandle]:
         """Pop the next non-cancelled event, or None if the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            event.fired = True
-            if event.cancelled:
+        queue = self._queue
+        while queue:
+            event = heapq.heappop(queue)[2]
+            event._fired = True
+            if event._cancelled:
                 self._cancelled_pending -= 1
                 continue
             return event
@@ -295,9 +300,9 @@ class Engine:
         event = self._pop_live_event()
         if event is None:
             return False
-        self._now = event.time
+        self._now = event._time
         self._events_executed += 1
-        self._run_callback(event.callback, event.label)
+        self._run_callback(event._callback, event._label)
         return True
 
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
@@ -307,24 +312,26 @@ class Engine:
         events executed during this call.  ``max_events`` is a safety
         valve against runaway event storms.
         """
-        if end_time < self._now:
+        if not end_time >= self._now:
             raise SimulationError(
                 f"end_time {end_time:.6f} is before current time {self._now:.6f}"
             )
+        queue = self._queue
+        heappop = heapq.heappop
         executed = 0
-        while self._queue:
-            event = self._queue[0]
-            if event.time > end_time:
+        while queue:
+            when = queue[0][0]
+            if when > end_time:
                 break
-            heapq.heappop(self._queue)
-            event.fired = True
-            if event.cancelled:
+            event = heappop(queue)[2]
+            event._fired = True
+            if event._cancelled:
                 self._cancelled_pending -= 1
                 continue
-            self._now = event.time
+            self._now = when
             self._events_executed += 1
             executed += 1
-            self._run_callback(event.callback, event.label)
+            self._run_callback(event._callback, event._label)
             if max_events is not None and executed >= max_events:
                 raise SimulationError(
                     f"exceeded max_events={max_events} before t={end_time}"

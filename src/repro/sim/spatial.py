@@ -106,9 +106,9 @@ class SpatialGrid(Generic[ItemId]):
     def move_if_changed(self, item_id: ItemId, position: Vec2) -> bool:
         """Move the item if its position changed; returns True if it did.
 
-        The identity fast path makes the per-query synchronisation sweep
-        cheap: unmoved entities keep the same ``Vec2`` object, so the
-        common case is a single ``is`` comparison.
+        The identity fast path keeps re-reading an unmoved entity cheap:
+        it keeps the same ``Vec2`` object, so the common case is a single
+        ``is`` comparison.
         """
         stored = self._positions[item_id]
         if stored is position or stored == position:

@@ -122,6 +122,35 @@ class TestChannelTopology:
         b.vehicle.position = Vec2(1000, 0)
         assert channel.neighbor_count(a.node_id) == 0
 
+    def test_nodes_are_indexed_at_their_position_on_attach(self):
+        # Only written nodes are re-bucketed, so nothing would ever move
+        # a node indexed at a placeholder position.
+        world = make_world()
+        channel = WirelessChannel(world)
+        rsu = FixedNode(world, channel, "anchor", Vec2(5000, 0), 100.0)
+        car = vehicle_node(world, channel, 3000, 0)
+        assert world.spatial.position_of(rsu.node_id) == Vec2(5000, 0)
+        assert world.spatial.position_of(car.node_id) == Vec2(3000, 0)
+
+    def test_attach_fails_whole_when_position_is_unreadable(self):
+        class NoFix:
+            node_id = "no-fix"
+            radio_range_m = 100.0
+
+            @property
+            def position(self):
+                raise RuntimeError("no position fix")
+
+            def deliver(self, message, from_id):
+                pass
+
+        world = make_world()
+        channel = WirelessChannel(world)
+        with pytest.raises(RuntimeError):
+            channel.attach(NoFix())
+        assert not channel.is_attached("no-fix")
+        assert "no-fix" not in world.spatial
+
 
 class TestDelivery:
     def test_unicast_delivers_in_range(self):
@@ -212,6 +241,16 @@ class TestDelivery:
         world.run_for(1.0)
         assert len(received) == 1
 
+    def test_lone_broadcast_creates_no_zero_counters(self):
+        world = make_world()
+        channel = WirelessChannel(world)
+        lone = vehicle_node(world, channel, 0, 0)
+        assert channel.broadcast(lone.node_id, hello_message(lone.node_id, (0, 0), 0, 0, 0.0)) == 0
+        counters = world.metrics.counters
+        assert counters["channel/frames_sent"] == 1
+        for name in ("frames_dispatched", "frames_lost", "frames_scheduled"):
+            assert f"channel/{name}" not in counters
+
     def test_detached_destination_counted(self):
         world = make_world()
         channel = WirelessChannel(world)
@@ -266,6 +305,29 @@ class TestInterceptors:
         a.send(b.node_id, data_message(a.node_id, b.node_id, 100, world.now))
         world.run_for(1.0)
         assert len(received) == 1
+
+    def test_interceptors_see_one_frame_per_receiver(self):
+        world = make_world()
+        channel = WirelessChannel(world)
+        src = vehicle_node(world, channel, 0, 0)
+        receivers = [vehicle_node(world, channel, 40.0 * (i + 1), 0) for i in range(3)]
+        seen = []
+
+        def record(frame):
+            seen.append(frame)
+            return InterceptVerdict.passthrough()
+
+        hello = hello_message(src.node_id, (0, 0), 0, 0, world.now)
+        assert channel.broadcast(src.node_id, hello) == 3
+        channel.add_interceptor(record)
+        assert channel.broadcast(src.node_id, hello) == 3
+        assert seen == [
+            Frame(src.node_id, node.node_id, hello, world.now) for node in receivers
+        ]
+        assert InterceptVerdict.passthrough() is InterceptVerdict.passthrough()
+        world.run_for(1.0)
+        assert world.metrics.counter("channel/frames_dispatched") == 6
+        assert world.metrics.counter("channel/frames_delivered") == 6
 
 
 class TestTaps:

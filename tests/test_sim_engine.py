@@ -30,6 +30,24 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             engine.schedule_at(0.5, lambda: None)
 
+    def test_nan_times_are_rejected(self):
+        # Every comparison with NaN is false, so guards written as
+        # "delay < 0" or "when < now" would queue the event, and it
+        # would run with the clock set to NaN.
+        engine = Engine()
+        clock = []
+        for t in range(1, 8):
+            engine.schedule(float(t), lambda: clock.append(engine.now))
+        with pytest.raises(SimulationError):
+            engine.schedule(float("nan"), lambda: clock.append(engine.now))
+        with pytest.raises(SimulationError):
+            engine.schedule_at(float("nan"), lambda: clock.append(engine.now))
+        with pytest.raises(SimulationError):
+            engine.run_until(float("nan"))
+        engine.run_until(10.0)
+        assert clock == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        assert engine.pending_events == 0
+
     def test_events_execute_in_time_order(self):
         engine = Engine()
         order = []
@@ -226,6 +244,41 @@ class TestPendingEvents:
         assert len(engine._queue) < 100
         engine.run_until(3000.0)
         assert engine.events_executed == 5
+
+    def test_compaction_inside_run_until_keeps_order(self):
+        engine = Engine()
+        fired = []
+        expected = []
+        doomed = []
+        queue_sizes = []
+
+        def survivor(tag):
+            return lambda: fired.append((engine.now, tag))
+
+        def cancel_storm():
+            fired.append((engine.now, "storm"))
+            for handle in doomed:
+                handle.cancel()
+            queue_sizes.append(len(engine._queue))
+
+        engine.schedule(1.0, cancel_storm)
+        expected.append((1.0, "storm"))
+        for index in range(200):
+            doomed.append(engine.schedule(1.0 + index % 3, lambda: fired.append("doomed")))
+            if index % 5 == 0:
+                # Survivors share times with the storm and with each
+                # other; equal times fire in scheduling order.
+                when = 1.0 + index % 4
+                engine.schedule(when, survivor(index))
+                expected.append((when, index))
+        engine.run_until(10.0)
+        # The storm cancelled all 200 doomed events, and the heap was
+        # rebuilt while run_until was popping from it: the 40 survivors
+        # are left, plus at most 64 cancelled entries.
+        assert queue_sizes[0] <= 40 + 64
+        assert fired == sorted(expected, key=lambda item: item[0])
+        assert engine.pending_events == 0
+        assert engine._queue == []
 
 
 class TestErrorPolicy:
