@@ -59,6 +59,7 @@ from .vcloud import (
     RsuCoordination,
     V2VCoordination,
     VehicularCloud,
+    WorkerView,
 )
 
 __all__ = [
@@ -131,6 +132,7 @@ __all__ = [
     "V2VCoordination",
     "VehicularCloud",
     "WorkerCandidate",
+    "WorkerView",
     "candidates_from_pool",
     "dissemination_cost",
     "next_task_id",

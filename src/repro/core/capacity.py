@@ -15,7 +15,11 @@ the observability layer follow), so attaching it never perturbs a
 seeded run.  Producers of *queued* work register backlog sources (the
 gateway registers its admission queue's ``queued_work_mi``, the DAG
 scheduler its pending un-assigned replicas); *in-flight* work is read
-directly from the cloud's live executions.
+directly from the cloud's live executions.  The fleet's shape, its
+eligible workers and their summed compute, is read from the cloud's
+cached :meth:`~repro.core.vcloud.VehicularCloud.worker_view`, which is
+recomputed only when membership or the head changes, so an estimate
+never rescans the pool.
 
 "Decomposition Theory Meets Reliability Analysis" (PAPERS.md) plans
 dependent-task redundancy jointly over reliability and dynamic resource
@@ -89,19 +93,15 @@ class BacklogEstimator:
 
     def worker_ids(self) -> List[str]:
         """Pool members eligible for work (the head does not self-assign)."""
-        members = self.cloud.pool.member_ids()
-        if self.cloud.head_id is not None and len(members) > 1:
-            return [m for m in members if m != self.cloud.head_id]
-        return members
+        return list(self.cloud.worker_view().ids)
 
     def aggregate_capacity_mips(self) -> float:
         """Offered compute across eligible workers."""
-        pool = self.cloud.pool
-        return sum(pool.offer_of(worker).compute_mips for worker in self.worker_ids())
+        return self.cloud.worker_view().capacity_mips
 
     def utilization(self) -> float:
         """Busy fraction of eligible workers, in [0, 1]."""
-        workers = self.worker_ids()
+        workers = self.cloud.worker_view().ids
         if not workers:
             return 1.0
         eligible = set(workers)
@@ -119,10 +119,10 @@ class BacklogEstimator:
         any free worker, so the expected wait contributed by in-flight
         work is the total residual runtime divided by the fleet size.
         """
-        workers = self.worker_ids()
+        workers = len(self.cloud.worker_view().ids)
         if not workers:
             return 0.0
-        return self.cloud.inflight_remaining_s(now) / len(workers)
+        return self.cloud.inflight_remaining_s(now) / workers
 
     def queue_delay_s(self, now: float) -> float:
         """Standing delay a new dispatch faces right now.
@@ -155,5 +155,5 @@ class BacklogEstimator:
             queue_delay_s=self.queue_delay_s(now),
             marginal_delay_s=self.marginal_delay_s(work_mi),
             utilization=self.utilization(),
-            workers=len(self.worker_ids()),
+            workers=len(self.cloud.worker_view().ids),
         )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import ResourceError
 from ..mobility.equipment import OnboardEquipment, SensorKind
@@ -85,6 +85,10 @@ class ResourcePool:
 
     def __init__(self) -> None:
         self._members: Dict[str, _MemberState] = {}
+        #: Bumped by every membership write (an offer added, replaced or
+        #: withdrawn) and never by a reservation, so a reader caching a
+        #: view of the nameplate membership knows when to recompute it.
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._members)
@@ -97,11 +101,15 @@ class ResourcePool:
     def add_offer(self, offer: ResourceOffer) -> None:
         """Add (or replace) a member's offer."""
         self._members[offer.vehicle_id] = _MemberState(offer=offer)
+        self.version += 1
 
     def remove_member(self, vehicle_id: str) -> Optional[ResourceOffer]:
         """Withdraw a member's offer (departure); returns the old offer."""
         state = self._members.pop(vehicle_id, None)
-        return state.offer if state is not None else None
+        if state is None:
+            return None
+        self.version += 1
+        return state.offer
 
     def member_ids(self) -> List[str]:
         """All contributing members."""
@@ -113,6 +121,20 @@ class ResourcePool:
         if state is None:
             raise ResourceError(f"no offer from {vehicle_id!r}")
         return state.offer
+
+    def availability(
+        self, vehicle_ids: Iterable[str]
+    ) -> Iterator[Tuple[str, ResourceOffer, float]]:
+        """``(id, offer, free MIPS)`` per listed member, in the given order.
+
+        Reads each member's state once; raises for an id with no offer.
+        """
+        members = self._members
+        for vehicle_id in vehicle_ids:
+            state = members.get(vehicle_id)
+            if state is None:
+                raise ResourceError(f"no offer from {vehicle_id!r}")
+            yield vehicle_id, state.offer, state.free_mips
 
     # -- capacity queries --------------------------------------------------------
 

@@ -180,23 +180,25 @@ class GatedAllocator(Allocator):
 def candidates_from_pool(
     pool: ResourcePool,
     task: Task,
-    dwell_lookup,
+    dwell_lookup: Callable[[str], float],
+    worker_ids: Sequence[str],
 ) -> List[WorkerCandidate]:
-    """Build candidates from a resource pool and a dwell estimator.
+    """One candidate per eligible worker, built in one pass.
 
-    ``dwell_lookup`` maps a vehicle id to its estimated remaining dwell
-    in seconds.
+    ``worker_ids`` are the members eligible for work, in pool order:
+    a cloud passes the ids of its
+    :meth:`~repro.core.vcloud.VehicularCloud.worker_view`, which already
+    leaves the head out.  Each worker's pool state is read once, and
+    ``dwell_lookup`` (vehicle id -> estimated remaining dwell in
+    seconds) is called once per worker, in that order.  Free compute
+    is read live, so reservations show up at once.
     """
-    candidates = []
-    for vehicle_id in pool.member_ids():
-        offer = pool.offer_of(vehicle_id)
-        has_sensors = task.required_sensors.issubset(offer.sensors)
-        candidates.append(
-            WorkerCandidate(
-                vehicle_id=vehicle_id,
-                free_mips=pool.free_mips(vehicle_id),
-                estimated_dwell_s=dwell_lookup(vehicle_id),
-                has_required_sensors=has_sensors,
-            )
+    required = task.required_sensors
+    # Positional fields: (vehicle_id, free_mips, estimated_dwell_s,
+    # has_required_sensors); keywords cost a quarter of this hot loop.
+    return [
+        WorkerCandidate(
+            vehicle_id, free_mips, dwell_lookup(vehicle_id), required.issubset(offer.sensors)
         )
-    return candidates
+        for vehicle_id, offer, free_mips in pool.availability(worker_ids)
+    ]

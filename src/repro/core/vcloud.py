@@ -181,6 +181,38 @@ class CloudStats:
         return self.deadline_hits / total
 
 
+@dataclass(frozen=True)
+class WorkerView:
+    """The members eligible for work and their summed nameplate compute.
+
+    ``ids`` keep pool order.  The coordinator does not assign work to
+    itself while any other member exists, but a cloud reduced to its
+    head still makes progress, so a lone head stays eligible.  A head
+    id that is not a pool member (an RSU coordinator) excludes nobody.
+    This is the one place that rule lives: the gateway, the backlog
+    estimator, the local tier and every candidate scan read this view.
+    """
+
+    ids: Tuple[str, ...]
+    capacity_mips: float
+    #: The pool version and head this view was computed for.
+    pool_version: int
+    head_id: Optional[str]
+
+    @staticmethod
+    def of(pool: ResourcePool, head_id: Optional[str]) -> "WorkerView":
+        """Compute the view of ``pool`` under ``head_id``."""
+        workers = pool.member_ids()
+        if head_id is not None and len(workers) > 1:
+            workers = [m for m in workers if m != head_id]
+        return WorkerView(
+            ids=tuple(workers),
+            capacity_mips=sum(pool.offer_of(worker).compute_mips for worker in workers),
+            pool_version=pool.version,
+            head_id=head_id,
+        )
+
+
 @dataclass
 class _Execution:
     record: TaskRecord
@@ -229,6 +261,8 @@ class VehicularCloud:
         self.max_assignment_retries = max_assignment_retries
         self.membership = MembershipManager(cloud_id, max_members)
         self.pool = ResourcePool()
+        # Matches no pool version, so the first read computes the view.
+        self._worker_view = WorkerView((), 0.0, -1, None)
         self.stats = CloudStats()
         self.records: List[TaskRecord] = []
         self._executions: Dict[str, _Execution] = {}  # task_id -> execution
@@ -432,18 +466,16 @@ class VehicularCloud:
         if not self.coordination.available():
             self._schedule_retry(record, reason="coordination unavailable")
             return
-        candidates = candidates_from_pool(self.pool, record.task, self.dwell_lookup)
-        # The coordinator does not assign work to itself in head-based
-        # clouds with more than one member.
-        if self.head_id is not None and len(candidates) > 1:
-            candidates = [c for c in candidates if c.vehicle_id != self.head_id]
+        candidates = candidates_from_pool(
+            self.pool, record.task, self.dwell_lookup, self.worker_view().ids
+        )
         choice = self.allocator.choose(record.task, candidates)
         if choice is None:
             self._schedule_retry(record, reason="no eligible worker")
             return
         try:
             reservation = self.pool.reserve(choice.vehicle_id, self.pool.free_mips(choice.vehicle_id))
-        except Exception:
+        except ResourceError:
             self._schedule_retry(record, reason="reservation race")
             return
         record.assign(choice.vehicle_id, self.world.now)
@@ -961,6 +993,18 @@ class VehicularCloud:
     def member_count(self) -> int:
         """Current member count."""
         return len(self.membership)
+
+    def worker_view(self) -> WorkerView:
+        """The eligible workers and their capacity, cached.
+
+        Recomputed only when the pool's membership or the head changes,
+        whoever made the write; reservations leave it alone, since it
+        holds nameplate capacity and candidates read free compute live.
+        """
+        view = self._worker_view
+        if view.pool_version != self.pool.version or view.head_id != self.head_id:
+            view = self._worker_view = WorkerView.of(self.pool, self.head_id)
+        return view
 
     def busy_workers(self) -> List[str]:
         """Workers currently holding a live execution (deduplicated).

@@ -375,13 +375,9 @@ class DagScheduler:
     def _replica_plan(self, record: GraphRecord, stage: _StageRun, task: Task) -> int:
         if self.redundancy is None or self.reliability is None:
             return 1
-        candidates = candidates_from_pool(self.cloud.pool, task, self.cloud.dwell_lookup)
-        if self.cloud.head_id is not None and len(candidates) > 1:
-            # Head-fallback: the head never competes for stages while any
-            # other candidate exists, but when it is the ONLY candidate it
-            # keeps the stage rather than stalling the graph — a cloud
-            # reduced to its head still makes progress.
-            candidates = [c for c in candidates if c.vehicle_id != self.cloud.head_id]
+        candidates = candidates_from_pool(
+            self.cloud.pool, task, self.cloud.dwell_lookup, self.cloud.worker_view().ids
+        )
         eligible = [c for c in candidates if c.free_mips > 0 and c.has_required_sensors]
         now = self.world.now
         survival = [

@@ -267,16 +267,13 @@ class ServiceGateway:
 
     def worker_ids(self) -> List[str]:
         """Pool members eligible for work (the head does not self-assign)."""
-        members = self.cloud.pool.member_ids()
-        if self.cloud.head_id is not None and len(members) > 1:
-            return [m for m in members if m != self.cloud.head_id]
-        return members
+        return list(self.cloud.worker_view().ids)
 
     def dispatch_slots(self) -> int:
         """Concurrent dispatches the gateway will keep in flight."""
         if self.max_dispatch_concurrency is not None:
             return self.max_dispatch_concurrency
-        return max(1, len(self.worker_ids()))
+        return max(1, len(self.cloud.worker_view().ids))
 
     def total_slots(self) -> Optional[int]:
         """Queue capacity plus dispatch slots (fair-share denominator).
@@ -293,15 +290,14 @@ class ServiceGateway:
 
     def aggregate_capacity_mips(self) -> float:
         """Offered compute across eligible workers."""
-        pool = self.cloud.pool
-        return sum(pool.offer_of(worker).compute_mips for worker in self.worker_ids())
+        return self.cloud.worker_view().capacity_mips
 
     def estimated_runtime_s(self, work_mi: float) -> float:
         """Expected runtime of one task on a typical worker."""
-        workers = self.worker_ids()
-        if not workers:
+        view = self.cloud.worker_view()
+        if not view.ids:
             return float("inf")
-        per_worker = self.aggregate_capacity_mips() / len(workers)
+        per_worker = view.capacity_mips / len(view.ids)
         if per_worker <= 0:
             return float("inf")
         return work_mi / per_worker
@@ -618,9 +614,8 @@ class ServiceGateway:
             expected_runtime_s=expected,
         ):
             return
-        workers = self.worker_ids()
         primary_worker = dispatch.race.handles[0].worker_id
-        if primary_worker is None or len(workers) < 2:
+        if primary_worker is None or len(self.cloud.worker_view().ids) < 2:
             return
         hedge_task = Task(
             work_mi=request.task.work_mi,

@@ -239,14 +239,14 @@ class VCloudTier(_LinkedTier):
     def reachable(self) -> bool:
         if not super().reachable():
             return False
-        return len(self.estimator.worker_ids()) > 0
+        return len(self.cloud.worker_view().ids) > 0
 
     def queue_delay_estimate(self, now: float) -> float:
         return self.estimator.queue_delay_s(now)
 
     def estimated_runtime_s(self, work_mi: float) -> float:
-        workers = self.estimator.worker_ids()
-        capacity = self.estimator.aggregate_capacity_mips()
+        view = self.cloud.worker_view()
+        workers, capacity = view.ids, view.capacity_mips
         if not workers or capacity <= 0:
             return float("inf")
         return work_mi / (capacity / len(workers))

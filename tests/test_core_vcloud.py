@@ -15,6 +15,7 @@ from repro.core import (
     V2VCoordination,
     VehicularCloud,
 )
+from repro.errors import ResourceError
 from repro.geometry import Vec2
 from repro.infra import Rsu, deploy_rsus_on_highway
 from repro.mobility import (
@@ -97,6 +98,34 @@ class TestTaskExecution:
         world.run_for(10.0)
         assert cloud.stats.submitted == 5
         assert cloud.stats.completed == 5
+
+    def test_reservation_race_retries(self, world, monkeypatch):
+        _m, _v, cloud = static_cloud(world)
+        reserve = cloud.pool.reserve
+        lost = []
+
+        def race_once(*args, **kwargs):
+            if not lost:
+                lost.append(True)
+                raise ResourceError("taken by a concurrent assignment")
+            return reserve(*args, **kwargs)
+
+        monkeypatch.setattr(cloud.pool, "reserve", race_once)
+        record = cloud.submit(Task(work_mi=100))
+        assert record.state is TaskState.PENDING
+        world.run_for(10.0)
+        assert record.state is TaskState.COMPLETED
+
+    def test_reserve_defect_propagates(self, world, monkeypatch):
+        """Only ResourceError is a reservation race; a defect must surface."""
+        _m, _v, cloud = static_cloud(world)
+
+        def broken_reserve(*_args, **_kwargs):
+            raise TypeError("allocator defect")
+
+        monkeypatch.setattr(cloud.pool, "reserve", broken_reserve)
+        with pytest.raises(TypeError, match="allocator defect"):
+            cloud.submit(Task(work_mi=100))
 
 
 class TestChurnAndHandover:
