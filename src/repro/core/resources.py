@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from ..errors import ResourceError
 from ..mobility.equipment import OnboardEquipment, SensorKind
@@ -122,19 +122,20 @@ class ResourcePool:
             raise ResourceError(f"no offer from {vehicle_id!r}")
         return state.offer
 
-    def availability(
-        self, vehicle_ids: Iterable[str]
-    ) -> Iterator[Tuple[str, ResourceOffer, float]]:
-        """``(id, offer, free MIPS)`` per listed member, in the given order.
+    def free_mips_of(self, vehicle_ids: Iterable[str]) -> List[float]:
+        """Unreserved compute of each listed member, in the given order.
 
-        Reads each member's state once; raises for an id with no offer.
+        One list for a whole assignment pass; raises for an id with no
+        offer.  Each value is what :meth:`free_mips` returns, computed
+        inline because a property call per member was most of a pass.
         """
-        members = self._members
-        for vehicle_id in vehicle_ids:
-            state = members.get(vehicle_id)
-            if state is None:
-                raise ResourceError(f"no offer from {vehicle_id!r}")
-            yield vehicle_id, state.offer, state.free_mips
+        try:
+            return [
+                state.offer.compute_mips - state.reserved_mips
+                for state in map(self._members.__getitem__, vehicle_ids)
+            ]
+        except KeyError as missing:
+            raise ResourceError(f"no offer from {missing.args[0]!r}") from None
 
     # -- capacity queries --------------------------------------------------------
 

@@ -53,9 +53,18 @@ class Allocator:
     name = "base"
 
     def choose(
-        self, task: Task, candidates: Sequence[WorkerCandidate]
+        self,
+        task: Task,
+        candidates: Sequence[WorkerCandidate],
+        worker_ids: Sequence[str] = (),
     ) -> Optional[AllocationChoice]:
-        """Pick a worker, or None if no candidate is acceptable."""
+        """Pick a worker, or None if no candidate is acceptable.
+
+        ``worker_ids`` are the ids of the pass's worker view: every
+        worker the pass looked at, assignable or not, in pool order.
+        Only :class:`GatedAllocator` gates read them; callers with
+        hand-built candidates may leave them out.
+        """
         raise NotImplementedError
 
     @staticmethod
@@ -84,7 +93,10 @@ class RandomAllocator(Allocator):
         self.rng = rng
 
     def choose(
-        self, task: Task, candidates: Sequence[WorkerCandidate]
+        self,
+        task: Task,
+        candidates: Sequence[WorkerCandidate],
+        worker_ids: Sequence[str] = (),
     ) -> Optional[AllocationChoice]:
         eligible = self._eligible(task, candidates)
         if not eligible:
@@ -98,7 +110,10 @@ class GreedyResourceAllocator(Allocator):
     name = "greedy-resource"
 
     def choose(
-        self, task: Task, candidates: Sequence[WorkerCandidate]
+        self,
+        task: Task,
+        candidates: Sequence[WorkerCandidate],
+        worker_ids: Sequence[str] = (),
     ) -> Optional[AllocationChoice]:
         eligible = self._eligible(task, candidates)
         if not eligible:
@@ -126,7 +141,10 @@ class DwellAwareAllocator(Allocator):
         self.fallback_to_fastest = fallback_to_fastest
 
     def choose(
-        self, task: Task, candidates: Sequence[WorkerCandidate]
+        self,
+        task: Task,
+        candidates: Sequence[WorkerCandidate],
+        worker_ids: Sequence[str] = (),
     ) -> Optional[AllocationChoice]:
         eligible = self._eligible(task, candidates)
         if not eligible:
@@ -148,33 +166,38 @@ class DwellAwareAllocator(Allocator):
         return self._choice(task, best)
 
 
-class GatedAllocator(Allocator):
-    """Wraps an allocator, filtering candidates through a predicate gate.
+#: A per-pass gate: ``(task, candidates, worker_ids) -> admitted``.
+CandidateGate = Callable[
+    [Task, Sequence[WorkerCandidate], Sequence[str]], Sequence[WorkerCandidate]
+]
 
-    The gate receives ``(task, candidate)`` and returns whether the
-    candidate may be considered for this assignment.  This is how
-    serving-layer policies (circuit breakers, hedge anti-affinity)
+
+class GatedAllocator(Allocator):
+    """Wraps an allocator, narrowing each pass's candidates through a gate.
+
+    The gate runs once per assignment pass, on every pass, one with no
+    candidate included.  It receives ``(task, candidates, worker_ids)``:
+    the assignable candidates and the ids of the whole worker view the
+    pass looked at, busy workers included.  It returns the candidates
+    that may be considered.  This is how serving-layer policies (circuit
+    breakers, hedge anti-affinity) and DAG sibling anti-affinity
     constrain dispatch without re-implementing allocation: the inner
-    allocator still ranks whatever survives the gate.
+    allocator, itself possibly gated, still ranks whatever survives.
     """
 
     name = "gated"
 
-    def __init__(
-        self,
-        inner: Allocator,
-        gate: Callable[[Task, WorkerCandidate], bool],
-    ) -> None:
+    def __init__(self, inner: Allocator, gate: CandidateGate) -> None:
         self.inner = inner
         self.gate = gate
 
     def choose(
-        self, task: Task, candidates: Sequence[WorkerCandidate]
+        self,
+        task: Task,
+        candidates: Sequence[WorkerCandidate],
+        worker_ids: Sequence[str] = (),
     ) -> Optional[AllocationChoice]:
-        admitted = [c for c in candidates if self.gate(task, c)]
-        if not admitted:
-            return None
-        return self.inner.choose(task, admitted)
+        return self.inner.choose(task, self.gate(task, candidates, worker_ids), worker_ids)
 
 
 def candidates_from_pool(
@@ -183,22 +206,22 @@ def candidates_from_pool(
     dwell_lookup: Callable[[str], float],
     worker_ids: Sequence[str],
 ) -> List[WorkerCandidate]:
-    """One candidate per eligible worker, built in one pass.
+    """The assignable workers of one pass, as candidates.
 
     ``worker_ids`` are the members eligible for work, in pool order:
     a cloud passes the ids of its
     :meth:`~repro.core.vcloud.VehicularCloud.worker_view`, which already
-    leaves the head out.  Each worker's pool state is read once, and
-    ``dwell_lookup`` (vehicle id -> estimated remaining dwell in
-    seconds) is called once per worker, in that order.  Free compute
+    leaves the head out.  ``dwell_lookup`` (vehicle id -> estimated
+    remaining dwell in seconds) is called once for *every* worker, in
+    that order, since a lookup may draw from a seeded stream.  A
+    candidate is built only for a worker with free compute that carries
+    the task's sensors; the rest could never be chosen.  Free compute
     is read live, so reservations show up at once.
     """
     required = task.required_sensors
-    # Positional fields: (vehicle_id, free_mips, estimated_dwell_s,
-    # has_required_sensors); keywords cost a quarter of this hot loop.
-    return [
-        WorkerCandidate(
-            vehicle_id, free_mips, dwell_lookup(vehicle_id), required.issubset(offer.sensors)
-        )
-        for vehicle_id, offer, free_mips in pool.availability(worker_ids)
-    ]
+    candidates: List[WorkerCandidate] = []
+    for vehicle_id, free_mips in zip(worker_ids, pool.free_mips_of(worker_ids)):
+        dwell_s = dwell_lookup(vehicle_id)
+        if free_mips > 0 and required.issubset(pool.offer_of(vehicle_id).sensors):
+            candidates.append(WorkerCandidate(vehicle_id, free_mips, dwell_s))
+    return candidates

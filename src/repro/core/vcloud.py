@@ -466,10 +466,13 @@ class VehicularCloud:
         if not self.coordination.available():
             self._schedule_retry(record, reason="coordination unavailable")
             return
+        # The view goes to the allocator too: its gates answer for the
+        # pass's workers, and an allocator may be shared between clouds.
+        worker_ids = self.worker_view().ids
         candidates = candidates_from_pool(
-            self.pool, record.task, self.dwell_lookup, self.worker_view().ids
+            self.pool, record.task, self.dwell_lookup, worker_ids
         )
-        choice = self.allocator.choose(record.task, candidates)
+        choice = self.allocator.choose(record.task, candidates, worker_ids)
         if choice is None:
             self._schedule_retry(record, reason="no eligible worker")
             return

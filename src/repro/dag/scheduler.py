@@ -38,7 +38,7 @@ the replica races obey the :class:`~repro.core.race.RaceLedger` law.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.capacity import BacklogEstimator
 from ..core.race import Race, RaceLedger, ledger_count
@@ -312,16 +312,22 @@ class DagScheduler:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _gate(self, task: Task, candidate: WorkerCandidate) -> bool:
+    def _gate(
+        self,
+        task: Task,
+        candidates: Sequence[WorkerCandidate],
+        worker_ids: Sequence[str],
+    ) -> Sequence[WorkerCandidate]:
         race = self._replica_index.get(task.task_id)
         if race is None:
-            return True
-        return not any(
-            sibling.task is not task
-            and sibling.worker_id == candidate.vehicle_id
-            and sibling.state in (TaskState.ASSIGNED, TaskState.RUNNING)
+            return candidates
+        taken = {
+            sibling.worker_id
             for sibling in race.live
-        )
+            if sibling.task is not task
+            and sibling.state in (TaskState.ASSIGNED, TaskState.RUNNING)
+        }
+        return [c for c in candidates if c.vehicle_id not in taken]
 
     def _remaining_budget_s(self, record: GraphRecord) -> Optional[float]:
         deadline_at = record.deadline_at()
@@ -378,7 +384,6 @@ class DagScheduler:
         candidates = candidates_from_pool(
             self.cloud.pool, task, self.cloud.dwell_lookup, self.cloud.worker_view().ids
         )
-        eligible = [c for c in candidates if c.free_mips > 0 and c.has_required_sensors]
         now = self.world.now
         survival = [
             self.reliability.survival_probability(
@@ -387,14 +392,14 @@ class DagScheduler:
                 now,
                 dwell_s=c.estimated_dwell_s,
             )
-            for c in eligible
+            for c in candidates
         ]
-        if self.backlog is not None and eligible:
+        if self.backlog is not None and candidates:
             # Load-aware objective: survival gain per extra replica is
             # discounted by the queue delay it induces, so under combined
             # churn and load the plan sheds redundancy (E18).
             budget_s = self._remaining_budget_s(record)
-            runtime_s = min(task.runtime_on(c.free_mips) for c in eligible)
+            runtime_s = min(task.runtime_on(c.free_mips) for c in candidates)
             plan = self.redundancy.plan(
                 survival,
                 budget_s=budget_s if budget_s is not None else float("inf"),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Collection, Deque, Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..faults.recovery import BackoffPolicy
@@ -88,7 +88,15 @@ class CircuitBreaker:
     # -- gate ----------------------------------------------------------------
 
     def allows(self) -> bool:
-        """Whether the worker may receive an assignment right now."""
+        """Whether the worker may receive an assignment right now.
+
+        Asking is what moves an OPEN breaker past its cooldown to
+        HALF_OPEN; asking a CLOSED or HALF_OPEN breaker changes nothing.
+        So the dispatch rule fixes the history: each assignment pass asks
+        once for every worker of the pass's view except the workers the
+        task is banned from, free or busy (see
+        :meth:`CircuitBreakerBoard.ask`).
+        """
         if self.state is BreakerState.OPEN and self.clock() >= self._reopen_at:
             self.state = BreakerState.HALF_OPEN
             self._probe_inflight = False
@@ -209,6 +217,24 @@ class CircuitBreakerBoard:
         """Dispatch gate: may this worker receive work right now?"""
         breaker = self._breakers.get(worker_id)
         return breaker.allows() if breaker is not None else True
+
+    def ask(self, worker_ids: Collection[str], skip: Optional[Collection[str]] = None) -> None:
+        """Ask the breakers of one assignment pass, busy workers' included.
+
+        The rule: each pass asks once for every worker of the pass's
+        view (``worker_ids``) except the ones the task is banned from
+        (``skip``).  Only an OPEN breaker can change when asked, so only
+        OPEN ones are visited; afterwards :meth:`allows` on any of them
+        answers without changing state again.
+        """
+        open_ = BreakerState.OPEN  # one enum lookup, not one per breaker
+        for worker_id, breaker in self._breakers.items():
+            if (
+                breaker.state is open_
+                and worker_id in worker_ids
+                and (skip is None or worker_id not in skip)
+            ):
+                breaker.allows()
 
     def note_dispatch(self, worker_id: str) -> None:
         """Report an assignment to the worker's breaker."""

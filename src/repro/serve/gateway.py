@@ -431,13 +431,30 @@ class ServiceGateway:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _gate(self, task: Task, candidate: WorkerCandidate) -> bool:
+    def _gate(
+        self,
+        task: Task,
+        candidates: Sequence[WorkerCandidate],
+        worker_ids: Sequence[str],
+    ) -> List[WorkerCandidate]:
+        """Hedge anti-affinity and the breakers, once per assignment pass.
+
+        ``worker_ids`` is the pass's view, which on a federation split
+        belongs to another cloud sharing this allocator.  The breakers
+        of the whole view but the banned workers are asked first, as
+        :meth:`CircuitBreakerBoard.ask` describes; then the free
+        candidates that are not banned and whose breakers allow survive.
+        """
         banned = self._anti_affinity.get(task.task_id)
-        if banned is not None and candidate.vehicle_id in banned:
-            return False
-        if self.breakers is not None and not self.breakers.allows(candidate.vehicle_id):
-            return False
-        return True
+        breakers = self.breakers
+        if breakers is not None:
+            breakers.ask(worker_ids, banned)
+        return [
+            candidate
+            for candidate in candidates
+            if (banned is None or candidate.vehicle_id not in banned)
+            and (breakers is None or breakers.allows(candidate.vehicle_id))
+        ]
 
     def _pump(self) -> None:
         while len(self.queue) > 0 and len(self._inflight) < self.dispatch_slots():

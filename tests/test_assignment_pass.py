@@ -1,0 +1,456 @@
+"""What one assignment pass costs, and what it must leave unchanged.
+
+An assignment pass builds candidates only for the workers that can take
+the task, and asks the circuit breakers once for the pass's whole view.
+The guard below pins that cost.  The state machine runs two identically
+seeded worlds through the same rules: one allocates through the current
+per-pass gates, the other through the per-candidate gate they replaced,
+written out here (one candidate per worker of the view, the gateway's
+old gate on each, then the inner allocator).  Every breaker's history
+and every task's worker sequence must stay equal between the two.
+"""
+
+from __future__ import annotations
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.core import (
+    Allocator,
+    CheckpointHandoverPolicy,
+    GreedyResourceAllocator,
+    ResourceOffer,
+    Task,
+    VehicularCloud,
+    WorkerCandidate,
+)
+from repro.core.tasks import TaskState
+from repro.dag import DagScheduler, RedundancyPlanner, ReliabilityEstimator
+from repro.dag.graph import StageSpec, TaskGraph
+from repro.faults import BackoffPolicy
+from repro.geometry import Vec2
+from repro.ids import reset_global_ids
+from repro.mobility import SensorKind, StationaryModel
+from repro.serve import (
+    BreakerState,
+    CircuitBreaker,
+    CircuitBreakerBoard,
+    HedgePolicy,
+    ServiceGateway,
+    ServiceRequest,
+)
+from repro.sim import ScenarioConfig, World
+
+SEED = 23
+#: The gateway's cloud: its head, then five workers.  Equal speeds make
+#: a primary outrun the runtime estimate, so hedges fire.
+CLOUD_MIPS = (100.0,) * 6
+#: A cloud split off the first one: its head, then two workers.
+SPLIT_MIPS = (100.0, 90.0, 140.0)
+CAMERA = frozenset({SensorKind.CAMERA})
+#: Gateway requests run for 2 to 15 s, past a first breaker cooldown.
+REQUEST_WORK = st.floats(min_value=200.0, max_value=1500.0)
+
+
+# -- the per-candidate gate, as it was ----------------------------------------
+
+
+def per_worker_candidates(pool, task, dwell_lookup, worker_ids):
+    """One candidate per worker of the view, assignable or not."""
+    return [
+        WorkerCandidate(
+            worker,
+            pool.free_mips(worker),
+            dwell_lookup(worker),
+            task.required_sensors.issubset(pool.offer_of(worker).sensors),
+        )
+        for worker in worker_ids
+    ]
+
+
+def per_candidate_gateway_gate(gateway):
+    def gate(task, candidate):
+        banned = gateway._anti_affinity.get(task.task_id)
+        if banned is not None and candidate.vehicle_id in banned:
+            return False
+        if gateway.breakers is not None and not gateway.breakers.allows(candidate.vehicle_id):
+            return False
+        return True
+
+    return gate
+
+
+def per_candidate_dag_gate(scheduler):
+    def gate(task, candidate):
+        race = scheduler._replica_index.get(task.task_id)
+        if race is None:
+            return True
+        return not any(
+            sibling.task is not task
+            and sibling.worker_id == candidate.vehicle_id
+            and sibling.state in (TaskState.ASSIGNED, TaskState.RUNNING)
+            for sibling in race.live
+        )
+
+    return gate
+
+
+class PerCandidateGatedAllocator(Allocator):
+    """The gated allocator with its per-candidate predicate."""
+
+    def __init__(self, inner, gate):
+        self.inner = inner
+        self.gate = gate
+
+    def choose(self, task, candidates, worker_ids=()):
+        admitted = [c for c in candidates if self.gate(task, c)]
+        if not admitted:
+            return None
+        return self.inner.choose(task, admitted)
+
+
+class PassLog(Allocator):
+    """Outermost in both worlds: each pass's choice and breaker histories."""
+
+    def __init__(self, inner, side):
+        self.inner = inner
+        self.side = side
+
+    def choose(self, task, candidates, worker_ids=()):
+        choice = self.inner.choose(task, candidates, worker_ids)
+        self.side.passes.append(
+            (
+                tuple(worker_ids),
+                None if choice is None else choice.vehicle_id,
+                self.side.breaker_histories(),
+            )
+        )
+        return choice
+
+
+class PerWorkerPass(Allocator):
+    """Hands the outermost gate the candidate list a pass used to build."""
+
+    def __init__(self, inner, clouds):
+        self.inner = inner
+        self.clouds = clouds
+
+    def choose(self, task, candidates, worker_ids=()):
+        cloud = next(c for c in self.clouds if c.worker_view().ids == tuple(worker_ids))
+        return self.inner.choose(
+            task, per_worker_candidates(cloud.pool, task, cloud.dwell_lookup, worker_ids)
+        )
+
+
+# -- one world ----------------------------------------------------------------
+
+
+class Side:
+    """A gateway (breakers and hedging), maybe a DAG scheduler, and a split."""
+
+    def __init__(self, dag: bool, per_candidate: bool) -> None:
+        reset_global_ids()
+        self.world = world = World(ScenarioConfig(seed=SEED))
+        count = len(CLOUD_MIPS) + len(SPLIT_MIPS)
+        vehicles = StationaryModel(
+            world, positions=[Vec2(i * 30.0, 0.0) for i in range(count)]
+        ).populate(count)
+        self.ids = [v.vehicle_id for v in vehicles]
+        # Some dwells fall short of long stages, so plans ask for replicas.
+        dwell = {vid: 4.0 + 3.0 * i for i, vid in enumerate(self.ids)}
+        self.cloud = VehicularCloud(
+            world,
+            "pass-vc",
+            handover_policy=CheckpointHandoverPolicy(),
+            dwell_lookup=dwell.__getitem__,
+        )
+        for index, (vehicle, mips) in enumerate(zip(vehicles, CLOUD_MIPS)):
+            sensors = CAMERA if index % 2 else frozenset()
+            self.cloud.admit(
+                vehicle, offer=ResourceOffer(vehicle.vehicle_id, mips, 10**9, 1e6, sensors)
+            )
+        self.cloud.enable_worker_leases(lease_duration_s=2.0, sweep_interval_s=0.5)
+        self.scheduler = None
+        if dag:
+            self.scheduler = DagScheduler(
+                world,
+                self.cloud,
+                name="pass",
+                reliability=ReliabilityEstimator(self.cloud),
+                redundancy=RedundancyPlanner(target_success=0.999, max_replicas=3),
+            )
+        # Cooldowns shorter than most tasks: breakers come out of their
+        # cooldown while their workers are busy.
+        self.board = CircuitBreakerBoard(
+            world,
+            "pass",
+            backoff=BackoffPolicy(base_delay_s=0.5, max_delay_s=4.0, max_retries=1_000_000),
+        )
+        self.gateway = ServiceGateway(
+            world,
+            self.cloud,
+            name="pass",
+            queue_capacity=16,
+            breakers=self.board,
+            hedging=HedgePolicy(fallback_factor=1.0),
+            dag=self.scheduler,
+        )
+        if per_candidate:
+            inner = GreedyResourceAllocator()
+            if self.scheduler is not None:
+                inner = PerCandidateGatedAllocator(inner, per_candidate_dag_gate(self.scheduler))
+            self.cloud.allocator = PerCandidateGatedAllocator(
+                inner, per_candidate_gateway_gate(self.gateway)
+            )
+        # As CloudFederation._split builds it: the allocator is shared.
+        self.split = VehicularCloud(
+            world,
+            "pass-vc-split",
+            allocator=self.cloud.allocator,
+            handover_policy=self.cloud.handover_policy,
+            coordination=self.cloud.coordination,
+            dwell_lookup=self.cloud.dwell_lookup,
+        )
+        for vehicle, mips in zip(vehicles[len(CLOUD_MIPS):], SPLIT_MIPS):
+            self.split.membership.join(vehicle.vehicle_id, world.now, vehicle.position)
+            self.split.pool.add_offer(ResourceOffer(vehicle.vehicle_id, mips, 10**9, 1e6))
+        self.split.head_id = vehicles[len(CLOUD_MIPS)].vehicle_id
+        allocator = self.cloud.allocator
+        if per_candidate:
+            allocator = PerWorkerPass(allocator, [self.cloud, self.split])
+        self.cloud.allocator = self.split.allocator = PassLog(allocator, self)
+        self.passes = []
+        self.held = []
+
+    def pool_of(self, worker_id):
+        for cloud in (self.cloud, self.split):
+            if worker_id in cloud.pool:
+                return cloud.pool
+        return None
+
+    def breaker_histories(self):
+        return {
+            worker: (b.state, b.trips, b._reopen_at, b._probe_inflight)
+            for worker, b in self.board._breakers.items()
+        }
+
+    def busy_workers(self):
+        return self.cloud.busy_workers() + self.split.busy_workers()
+
+    def assignments(self):
+        return [
+            [(tuple(r.workers_history), r.state) for r in cloud.records]
+            for cloud in (self.cloud, self.split)
+        ]
+
+
+class PassDifferential(RuleBasedStateMachine):
+    DAG = False
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sides = (Side(self.DAG, per_candidate=False), Side(self.DAG, per_candidate=True))
+
+    def each(self, action):
+        for side in self.sides:
+            action(side)
+
+    # -- load ----------------------------------------------------------------
+
+    @initialize(works=st.lists(REQUEST_WORK, min_size=1, max_size=3))
+    def start_loaded(self, works):
+        for work in works:
+            self.submit(work, None, 1)
+
+    @rule(
+        work=REQUEST_WORK,
+        deadline=st.one_of(st.none(), st.floats(min_value=2.0, max_value=40.0)),
+        priority=st.integers(min_value=0, max_value=2),
+    )
+    def submit(self, work, deadline, priority):
+        self.each(
+            lambda side: side.gateway.submit(
+                ServiceRequest.build(work_mi=work, priority=priority, deadline_s=deadline)
+            )
+        )
+
+    @rule(
+        work=st.floats(min_value=50.0, max_value=2500.0),
+        camera=st.booleans(),
+        split=st.booleans(),
+    )
+    def submit_direct(self, work, camera, split):
+        """A task straight to one cloud; the split's offers carry no camera."""
+        sensors = CAMERA if camera else frozenset()
+        self.each(
+            lambda side: (side.split if split else side.cloud).submit(
+                Task(work_mi=work, required_sensors=sensors)
+            )
+        )
+
+    @precondition(lambda self: self.sides[0].gateway._inflight)
+    @rule(data=st.data())
+    def hedge_check(self, data):
+        """Fire one in-flight request's hedge timer now, as a warm tracker may."""
+        index = data.draw(
+            st.integers(min_value=0, max_value=len(self.sides[0].gateway._inflight) - 1)
+        )
+        self.each(lambda side: side.gateway._maybe_hedge(list(side.gateway._inflight)[index]))
+
+    @precondition(lambda self: self.DAG)
+    @rule(works=st.lists(st.floats(min_value=100.0, max_value=1500.0), min_size=1, max_size=3))
+    def submit_graph(self, works):
+        def graph():
+            stages = [StageSpec("s0", works[0])]
+            stages += [StageSpec(f"s{i}", w, deps=("s0",)) for i, w in enumerate(works[1:], 1)]
+            return TaskGraph(stages=tuple(stages))
+
+        self.each(lambda side: side.gateway.submit_graph(graph()))
+
+    # -- breakers ------------------------------------------------------------
+
+    @rule(data=st.data())
+    def trip(self, data):
+        """Trip any worker, or one that is running a task."""
+        side = self.sides[0]
+        workers = st.sampled_from(side.ids)
+        if side.busy_workers():
+            workers = st.one_of(st.sampled_from(side.busy_workers()), workers)
+        worker = data.draw(workers)
+        self.each(lambda side: side.board.trip(worker, "test"))
+
+    @rule(
+        index=st.integers(min_value=0, max_value=len(CLOUD_MIPS) + len(SPLIT_MIPS) - 1),
+        ok=st.booleans(),
+    )
+    def record_outcome(self, index, ok):
+        self.each(lambda side: side.board.record_outcome(side.ids[index], ok))
+
+    # -- workers -------------------------------------------------------------
+
+    @rule(index=st.integers(min_value=0, max_value=len(CLOUD_MIPS) + len(SPLIT_MIPS) - 1))
+    def hold_busy(self, index):
+        def hold(side):
+            worker = side.ids[index]
+            pool = side.pool_of(worker)
+            if pool is not None and pool.free_mips(worker) > 0:
+                side.held.append(pool.reserve(worker, pool.free_mips(worker)))
+
+        self.each(hold)
+
+    @rule(split=st.booleans())
+    def hold_cloud(self, split):
+        """Hold every free worker of one cloud, so its passes find none."""
+
+        def hold(side):
+            pool = (side.split if split else side.cloud).pool
+            for worker in pool.member_ids():
+                if pool.free_mips(worker) > 0:
+                    side.held.append(pool.reserve(worker, pool.free_mips(worker)))
+
+        self.each(hold)
+
+    @precondition(lambda self: self.sides[0].held)
+    @rule(data=st.data())
+    def release(self, data):
+        index = data.draw(st.integers(min_value=0, max_value=len(self.sides[0].held) - 1))
+
+        def release(side):
+            reservation = side.held.pop(index)
+            pool = side.pool_of(reservation.vehicle_id)
+            if pool is not None:
+                pool.release(reservation)
+
+        self.each(release)
+
+    @precondition(lambda self: self.sides[0].cloud.worker_view().ids)
+    @rule(data=st.data())
+    def crash(self, data):
+        """Crash-stop a worker; its lease lapses and trips its breaker."""
+        worker = data.draw(st.sampled_from(self.sides[0].cloud.worker_view().ids))
+        self.each(lambda side: side.cloud.mark_worker_crashed(worker))
+
+    @rule(
+        seconds=st.one_of(
+            st.floats(min_value=0.05, max_value=3.0), st.floats(min_value=3.0, max_value=16.0)
+        )
+    )
+    def advance(self, seconds):
+        self.each(lambda side: side.world.run_for(seconds))
+
+    # -- the oracle ----------------------------------------------------------
+
+    @invariant()
+    def histories_match(self):
+        new, old = self.sides
+        assert new.passes == old.passes
+        assert new.breaker_histories() == old.breaker_histories()
+        assert new.assignments() == old.assignments()
+        new.passes.clear()
+        old.passes.clear()
+
+
+class PassDifferentialWithDag(PassDifferential):
+    DAG = True
+
+
+SETTINGS = settings(max_examples=80, stateful_step_count=40, deadline=None)
+PassDifferential.TestCase.settings = SETTINGS
+PassDifferentialWithDag.TestCase.settings = SETTINGS
+TestGatewayPassDifferential = PassDifferential.TestCase
+TestGatewayDagPassDifferential = PassDifferentialWithDag.TestCase
+
+
+class TestPassCost:
+    def test_a_pass_costs_its_free_workers(self, world, monkeypatch):
+        workers = 60
+        vehicles = StationaryModel(
+            world, positions=[Vec2(i * 20.0, 0.0) for i in range(workers + 1)]
+        ).populate(workers + 1)
+        lookups = []
+
+        def dwell_lookup(vehicle_id):
+            lookups.append(vehicle_id)
+            return 1e9
+
+        cloud = VehicularCloud(world, "cost-vc", dwell_lookup=dwell_lookup)
+        for vehicle in vehicles:
+            cloud.admit(vehicle, offer=ResourceOffer(vehicle.vehicle_id, 100.0, 10**9, 1e6))
+        board = CircuitBreakerBoard(world, "cost")
+        ServiceGateway(world, cloud, name="cost", breakers=board, hedging=HedgePolicy())
+        view = cloud.worker_view().ids
+        assert len(view) == workers
+        free = view[workers // 2]
+        for worker in view:
+            assert board.breaker_for(worker).state is BreakerState.CLOSED
+            if worker != free:
+                cloud.pool.reserve(worker, cloud.pool.free_mips(worker))
+
+        built, asked = [], []
+        init = WorkerCandidate.__init__
+        allows = CircuitBreaker.allows
+
+        def counting_init(candidate, *args, **kwargs):
+            built.append(args[0] if args else kwargs["vehicle_id"])
+            init(candidate, *args, **kwargs)
+
+        def counting_allows(breaker):
+            asked.append(breaker.name)
+            return allows(breaker)
+
+        monkeypatch.setattr(WorkerCandidate, "__init__", counting_init)
+        monkeypatch.setattr(CircuitBreaker, "allows", counting_allows)
+        lookups.clear()
+        record = cloud.submit(Task(work_mi=100.0))
+
+        assert record.worker_id == free
+        assert built == [free]
+        assert set(asked) <= {free}
+        assert lookups == list(view)

@@ -512,17 +512,27 @@ class TestGatewayWiring:
 
     def test_gated_allocator_filters_candidates(self):
         inner = GreedyResourceAllocator()
-        gated = GatedAllocator(
-            inner, lambda task, candidate: candidate.vehicle_id != "banned"
-        )
+        passes = []
+
+        def gate(task, candidates, worker_ids):
+            passes.append(([c.vehicle_id for c in candidates], tuple(worker_ids)))
+            return [c for c in candidates if c.vehicle_id != "banned"]
+
+        gated = GatedAllocator(inner, gate)
         candidates = [
             WorkerCandidate("banned", free_mips=1000, estimated_dwell_s=100),
             WorkerCandidate("ok", free_mips=10, estimated_dwell_s=100),
         ]
-        choice = gated.choose(Task(work_mi=10), candidates)
+        view = ("banned", "busy", "ok")
+        choice = gated.choose(Task(work_mi=10), candidates, view)
         assert choice is not None and choice.vehicle_id == "ok"
-        all_banned = GatedAllocator(inner, lambda _t, _c: False)
-        assert all_banned.choose(Task(work_mi=10), candidates) is None
+        # One gate call per pass, with the pass's whole view.
+        assert passes == [(["banned", "ok"], view)]
+        # A pass with no free worker still runs the gate, once.
+        assert gated.choose(Task(work_mi=10), [], view) is None
+        assert passes[1:] == [([], view)]
+        all_banned = GatedAllocator(inner, lambda _t, _c, _w: [])
+        assert all_banned.choose(Task(work_mi=10), candidates, view) is None
 
     def test_lease_eviction_trips_breaker(self):
         world, vehicles, cloud = build_cloud()

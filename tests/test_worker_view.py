@@ -78,7 +78,7 @@ def uncached_tier_runtime(cloud, work_mi):
 
 
 def uncached_candidates(cloud, task, dwell_lookup):
-    """One candidate per member, then drop the head."""
+    """One candidate per member, then drop the head and the unassignable."""
     pool = cloud.pool
     candidates = []
     for vehicle_id in pool.member_ids():
@@ -94,7 +94,7 @@ def uncached_candidates(cloud, task, dwell_lookup):
         )
     if cloud.head_id is not None and len(candidates) > 1:
         candidates = [c for c in candidates if c.vehicle_id != cloud.head_id]
-    return candidates
+    return [c for c in candidates if c.free_mips > 0 and c.has_required_sensors]
 
 
 class WorkerViewMachine(RuleBasedStateMachine):
@@ -231,7 +231,7 @@ class WorkerViewMachine(RuleBasedStateMachine):
             want = uncached_candidates(cloud, task, uncached_lookup)
             assert got == want
             # The uncached lookups in the same order, less the dropped head's.
-            assert cached_calls == [c.vehicle_id for c in want]
+            assert cached_calls == uncached_worker_ids(cloud)
             assert len(uncached_calls) == len(cloud.pool)
 
 
