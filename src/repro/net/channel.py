@@ -8,7 +8,17 @@ distance-dependent loss probability and a latency model:
 
 That last term makes dense scenes slower, which is how DoS flooding and
 density sweeps exert the time pressure the paper's "stringent time
-constraints" arguments turn on.
+constraints" arguments turn on.  (The propagation term is 1000 times
+the speed-of-light delay; see :class:`~repro.sim.config.ChannelConfig`.)
+
+A transmission costs one dispatch, not one per receiver: ``unicast``
+and ``broadcast`` each call ``_dispatch`` once, and its one loop walks
+the receivers with the frame's constants (source, airtime, tracer, the
+bound RNG draw and engine schedule) computed once.  Per receiver it
+keeps what varies: one distance, one loss probability, one RNG draw
+per transmitted copy and one ``frame-delivery`` event per surviving
+copy.  Every seeded output is the one the earlier per-receiver
+dispatch gave; ``_dispatch`` lists the orderings that guarantees.
 
 Range queries (``neighbors_of``, ``broadcast`` receiver sets, tap
 audibility) run through the world's :class:`~repro.sim.spatial.SpatialGrid`
@@ -41,8 +51,18 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 from ..errors import NetworkError
 from ..geometry import Vec2
@@ -122,6 +142,9 @@ class InterceptVerdict:
 
     @staticmethod
     def delay(seconds: float) -> "InterceptVerdict":
+        """Deliver the frame ``seconds`` late; the delay must be finite and >= 0."""
+        if not (math.isfinite(seconds) and seconds >= 0.0):
+            raise NetworkError(f"delay verdict needs a finite delay >= 0, got {seconds!r}")
         return InterceptVerdict(InterceptAction.DELAY, delay_s=seconds)
 
     @staticmethod
@@ -330,11 +353,7 @@ class WirelessChannel:
             if span is not None and tracer is not None:
                 tracer.end_span(span, "dropped", {"reason": "unreachable"})
             return False
-        tally = [0, 0, 0]
-        try:
-            self._dispatch(src, dst, message, tally, span=span)
-        finally:
-            self._count_frames(tally)
+        self._dispatch(src, (dst,), message, span=span)
         return True
 
     def broadcast(self, src_id: str, message: Message) -> int:
@@ -346,27 +365,13 @@ class WirelessChannel:
         self.world.metrics.increment("channel/bytes_sent", message.total_bytes)
         receivers = self.neighbors_of(src_id)
         # The contention term depends only on the *source's* neighborhood,
-        # so compute it once per frame instead of once per receiver (the
-        # seed recomputed the full scan inside ``_dispatch`` for every
-        # receiver, making a broadcast quadratic).  The legacy full-scan
-        # mode keeps the per-receiver recompute as the E13 baseline.
+        # so the receiver set gives it once per frame.  The legacy
+        # full-scan mode leaves it to ``_dispatch``, which recomputes it
+        # per receiver as the E13 baseline.
         contention = len(receivers) if self._grid is not None else None
         parent_span = self._frame_span("msg.broadcast", message, src_id, None)
         tracer = self.world.tracer
-        tally = [0, 0, 0]
-        try:
-            for dst in receivers:
-                child = None
-                if parent_span is not None and tracer is not None:
-                    child = tracer.start_span(
-                        "msg.delivery",
-                        subsystem="net",
-                        parent=parent_span,
-                        attrs={"dst": dst.node_id},
-                    )
-                self._dispatch(src, dst, message, tally, contention=contention, span=child)
-        finally:
-            self._count_frames(tally)
+        self._dispatch(src, receivers, message, contention, parent=parent_span)
         if parent_span is not None and tracer is not None:
             tracer.end_span(parent_span, "ok", {"receivers": len(receivers)})
         return len(receivers)
@@ -392,22 +397,6 @@ class WirelessChannel:
                 "bytes": message.total_bytes,
             },
         )
-
-    def _count_frames(self, tally: List[int]) -> None:
-        """Add one transmission's per-frame counters to the metrics.
-
-        ``tally`` is ``[dispatched, lost, scheduled]`` over the frames
-        of one unicast or broadcast.  A zero is skipped, so no counter
-        appears that the per-frame increments would not have created.
-        """
-        metrics = self.world.metrics
-        dispatched, lost, scheduled = tally
-        if dispatched:
-            metrics.increment("channel/frames_dispatched", dispatched)
-        if lost:
-            metrics.increment("channel/frames_lost", lost)
-        if scheduled:
-            metrics.increment("channel/frames_scheduled", scheduled)
 
     def _offer_to_taps(self, frame: Frame, src: ChannelNode) -> None:
         taps = self._taps
@@ -443,107 +432,196 @@ class WirelessChannel:
         self._tap_reach_m = max(tap.listen_range_m for tap in self._taps)
 
     def _run_interceptors(self, frame: Frame) -> InterceptVerdict:
+        """Return the first verdict that is not a pass, checked for use."""
         for interceptor in self._interceptors:
             verdict = interceptor(frame)
             if verdict.action is not InterceptAction.PASS:
+                if verdict.action is InterceptAction.REPLACE and verdict.replacement is None:
+                    raise NetworkError("REPLACE verdict without a replacement message")
                 return verdict
         return _PASS
 
     def _loss_probability(self, distance_m: float) -> float:
-        loss = (
-            self.config.base_loss_probability
-            + self.config.loss_per_100m * distance_m / 100.0
-        )
+        config = self.config
+        loss = config.base_loss_probability + config.loss_per_100m * distance_m / 100.0
         # Clamp both ends: a pathological config or rounding at very
-        # short distances must never yield a negative probability.
-        return min(0.95, max(0.0, loss))
+        # short distances must never yield a negative probability.  The
+        # two conditionals are ``min(0.95, max(0.0, loss))`` bit for bit
+        # (NaN and -0.0 included) at a fraction of the cost per receiver.
+        loss = loss if loss > 0.0 else 0.0
+        return loss if loss < 0.95 else 0.95
 
     def latency(self, distance_m: float, size_bytes: int, neighbor_count: int) -> float:
-        """Return the modelled one-hop latency for a frame."""
+        """Return the modelled one-hop latency for a frame.
+
+        The sum is ``((base_transmit + bytes / rate) + propagation) +
+        contention``, split so that a transmission computes the frame's
+        part once (:meth:`_airtime_s`) and each receiver's part in
+        :meth:`_hop_latency`.  The propagation term is 1000 times too
+        large; see :class:`~repro.sim.config.ChannelConfig`.
+        """
+        return self._hop_latency(self._airtime_s(size_bytes), distance_m, neighbor_count)
+
+    def _airtime_s(self, size_bytes: int) -> float:
+        """The part of :meth:`latency` that the frame alone fixes."""
+        config = self.config
+        return config.base_transmit_delay_s + size_bytes / config.bytes_per_second
+
+    def _hop_latency(self, airtime_s: float, distance_m: float, neighbor_count: int) -> float:
+        """:meth:`latency` given the frame's :meth:`_airtime_s`.
+
+        The propagation term keeps the expression every seeded output
+        was recorded with: ``distance_m * 3.34e-6`` seconds at the
+        default config, 1000 times the speed-of-light delay.
+        """
+        config = self.config
         return (
-            self.config.base_transmit_delay_s
-            + size_bytes / self.config.bytes_per_second
-            + (distance_m / 1000.0) * self.config.propagation_delay_s_per_km * 1000.0
-            + self.config.contention_delay_per_neighbor_s * neighbor_count
+            airtime_s
+            + (distance_m / 1000.0) * config.propagation_delay_s_per_km * 1000.0
+            + config.contention_delay_per_neighbor_s * neighbor_count
         )
 
     def _dispatch(
         self,
         src: ChannelNode,
-        dst: ChannelNode,
+        receivers: Sequence[ChannelNode],
         message: Message,
-        tally: List[int],
         contention: Optional[int] = None,
         span=None,
+        parent=None,
     ) -> None:
-        # Conservation law (checked by chaos invariants): every dispatch
-        # accounts for all its transmissions exactly once —
-        #   frames_dispatched + frames_duplicated ==
-        #       frames_suppressed + frames_lost + frames_scheduled
-        # and frames_scheduled - frames_delivered - frames_to_departed is
-        # the number of frames still in flight (never negative).  The
-        # dispatched, lost and scheduled frames go into ``tally``, which
-        # the caller adds to the metrics once per unicast or broadcast.
-        tally[0] += 1
-        tracer = self.world.tracer if span is not None else None
-        verdict = (
-            self._run_interceptors(Frame(src.node_id, dst.node_id, message, self.world.now))
-            if self._interceptors
-            else _PASS
-        )
-        if verdict.action is InterceptAction.DROP:
-            self.world.metrics.increment("channel/frames_suppressed")
-            if tracer is not None:
-                tracer.link_active_faults(span)
-                tracer.end_span(span, "dropped", {"reason": "intercepted"})
-            return
-        extra_delay = 0.0
-        transmissions = 1
-        if verdict.action is InterceptAction.DELAY:
-            extra_delay = verdict.delay_s
-            self.world.metrics.increment("channel/frames_delayed")
-            if tracer is not None:
-                tracer.add_event(span, "delayed", extra_s=extra_delay)
-        elif verdict.action is InterceptAction.REPLACE:
-            if verdict.replacement is None:
-                raise NetworkError("REPLACE verdict without a replacement message")
-            message = verdict.replacement
-            self.world.metrics.increment("channel/frames_tampered")
-            if tracer is not None:
-                tracer.add_event(span, "tampered", replacement=message.msg_id)
-        elif verdict.action is InterceptAction.DUPLICATE:
-            transmissions += verdict.copies
-            self.world.metrics.increment("channel/frames_duplicated", verdict.copies)
-            if tracer is not None:
-                tracer.add_event(span, "duplicated", copies=verdict.copies)
+        """Put one transmission on the air: every receiver in one loop.
 
-        distance = src.position.distance_to(dst.position)
-        loss_probability = self._loss_probability(distance)
-        if contention is None:
-            contention = self.neighbor_count(src.node_id)
-        latency = self.latency(distance, message.total_bytes, contention) + extra_delay
-        # One delivery callback serves every copy; the engine calls it
-        # with no arguments.
-        deliver = functools.partial(
-            self._deliver, dst.node_id, message, src.node_id, latency, tracer, span
-        )
+        A unicast passes its one in-range destination and the frame's
+        ``span``; a broadcast passes its receiver list, the frame's span
+        as ``parent``, and ``contention`` when the receiver set gives
+        it.  The frame's constants are computed once: the source id and
+        position, the airtime, the tracer, and the bound RNG draw,
+        engine schedule and delivery callback.  Each receiver costs one
+        distance, one :meth:`_loss_probability`, one RNG draw per
+        transmitted copy and one ``frame-delivery`` event per surviving
+        copy.  Frames, verdicts and span events cost only when an
+        interceptor is registered or the frame is traced.
 
-        # Each (possibly duplicated) transmission faces the link loss
-        # independently; the common single-transmission path draws from
-        # the RNG exactly once, as before.
-        scheduled = 0
-        for _ in range(transmissions):
-            if self.rng.chance(loss_probability):
-                tally[1] += 1
-                if tracer is not None:
-                    tracer.add_event(span, "lost")
-                continue
-            self.world.engine.schedule(latency, deliver, label="frame-delivery")
-            scheduled += 1
-        tally[2] += scheduled
-        if tracer is not None and scheduled == 0:
-            tracer.link_active_faults(span)
-            tracer.end_span(span, "dropped", {"reason": "loss"})
+        Every seeded output is the one the old per-receiver dispatch
+        gave, so the order of side effects is fixed:
+
+        * each receiver runs the interceptors (reading
+          ``self._interceptors`` live) before its loss draws, and a
+          broadcast opens each receiver's ``msg.delivery`` span just
+          before that;
+        * latency is :meth:`_hop_latency` of the frame's airtime (of the
+          replacement's bytes after a REPLACE), the distance and the
+          contention, then ``+ extra_delay``;
+        * with no ``contention`` given (a unicast, or the legacy
+          full-scan channel) each receiver calls :meth:`neighbor_count`
+          after its verdict;
+        * each copy draws its own loss, in order.
+
+        Conservation law (checked by chaos invariants): every receiver
+        accounts for all its transmissions exactly once —
+          frames_dispatched + frames_duplicated ==
+              frames_suppressed + frames_lost + frames_scheduled
+        and frames_scheduled - frames_delivered - frames_to_departed is
+        the number of frames still in flight (never negative).  A
+        receiver counts as dispatched once its verdict is settled, so
+        an interceptor that raises leaves the counters balanced.  The
+        dispatched, lost and scheduled counts go to the metrics once per
+        transmission, and a zero is skipped, so no counter appears that
+        per-frame increments would not have created.
+        """
+        world = self.world
+        metrics = world.metrics
+        tracer = world.tracer if span is not None or parent is not None else None
+        interceptors = self._interceptors
+        src_id = src.node_id
+        src_position = src.position
+        now = world.now
+        airtime_s = self._airtime_s(message.total_bytes)
+        loss_probability_at = self._loss_probability
+        hop_latency = self._hop_latency
+        chance = self.rng.chance
+        schedule = world.engine.schedule
+        deliver = self._deliver
+        partial = functools.partial
+        dispatched = lost = scheduled = 0
+        try:
+            for dst in receivers:
+                dst_id = dst.node_id
+                if parent is not None and tracer is not None:
+                    span = tracer.start_span(
+                        "msg.delivery", subsystem="net", parent=parent, attrs={"dst": dst_id}
+                    )
+                verdict = (
+                    self._run_interceptors(Frame(src_id, dst_id, message, now))
+                    if interceptors
+                    else _PASS
+                )
+                dispatched += 1
+                sent = message
+                sent_airtime_s = airtime_s
+                extra_delay = 0.0
+                copies = 1
+                if verdict is not _PASS:
+                    action = verdict.action
+                    if action is InterceptAction.DROP:
+                        metrics.increment("channel/frames_suppressed")
+                        if tracer is not None:
+                            tracer.link_active_faults(span)
+                            tracer.end_span(span, "dropped", {"reason": "intercepted"})
+                        continue
+                    if action is InterceptAction.DELAY:
+                        extra_delay = verdict.delay_s
+                        metrics.increment("channel/frames_delayed")
+                        if tracer is not None:
+                            tracer.add_event(span, "delayed", extra_s=extra_delay)
+                    elif action is InterceptAction.REPLACE:
+                        assert verdict.replacement is not None
+                        sent = verdict.replacement
+                        sent_airtime_s = self._airtime_s(sent.total_bytes)
+                        metrics.increment("channel/frames_tampered")
+                        if tracer is not None:
+                            tracer.add_event(span, "tampered", replacement=sent.msg_id)
+                    elif action is InterceptAction.DUPLICATE:
+                        copies += verdict.copies
+                        metrics.increment("channel/frames_duplicated", verdict.copies)
+                        if tracer is not None:
+                            tracer.add_event(span, "duplicated", copies=verdict.copies)
+
+                distance = src_position.distance_to(dst.position)
+                loss_probability = loss_probability_at(distance)
+                latency = (
+                    hop_latency(
+                        sent_airtime_s,
+                        distance,
+                        contention if contention is not None else self.neighbor_count(src_id),
+                    )
+                    + extra_delay
+                )
+                # One delivery callback serves every copy; the engine
+                # calls it with no arguments.
+                deliver_copy = partial(deliver, dst_id, sent, src_id, latency, tracer, span)
+                survived = 0
+                while copies:
+                    copies -= 1
+                    if chance(loss_probability):
+                        lost += 1
+                        if tracer is not None:
+                            tracer.add_event(span, "lost")
+                    else:
+                        schedule(latency, deliver_copy, "frame-delivery")
+                        survived += 1
+                scheduled += survived
+                if tracer is not None and not survived:
+                    tracer.link_active_faults(span)
+                    tracer.end_span(span, "dropped", {"reason": "loss"})
+        finally:
+            if dispatched:
+                metrics.increment("channel/frames_dispatched", dispatched)
+            if lost:
+                metrics.increment("channel/frames_lost", lost)
+            if scheduled:
+                metrics.increment("channel/frames_scheduled", scheduled)
 
     def _deliver(
         self,

@@ -24,6 +24,15 @@ class ChannelConfig:
     ``v2v_range_m`` approximates DSRC-class radios; the loss exponent and
     contention delay shape latency under density, which is the axis the
     paper's time-constraint arguments live on.
+
+    ``propagation_delay_s_per_km`` is the speed-of-light delay, 3.34 µs
+    per km, but the channel's latency model evaluates
+    ``(distance_m / 1000.0) * propagation_delay_s_per_km * 1000.0``,
+    which is ``distance_m * 3.34e-6`` seconds: 1.0 ms at 300 m, where
+    light takes 1.0 µs.  The term is 1000 times too large.  Every seeded
+    output and both blessed campaign baselines were recorded with it, so
+    it is documented here and not fixed; the fix is a behaviour change
+    that re-blesses them.
     """
 
     v2v_range_m: float = 300.0

@@ -1,0 +1,411 @@
+"""What one transmission costs, and what it must leave unchanged.
+
+A unicast or a broadcast puts its frame on the air in one call of
+``WirelessChannel._dispatch``: one loop over the receivers, with the
+frame's constants computed once.  The guard below pins that cost.  The
+differential test runs two identically seeded worlds through the same
+transmissions: one on the channel as it is, the other on the
+per-receiver dispatch it replaced, written out here (one dispatch per
+receiver, with the latency and loss formulas as they were).  Every
+delivery, channel counter, latency sample, RNG state, interceptor call
+and span must stay equal.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import List, NamedTuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.geometry import Vec2
+from repro.mobility import Vehicle
+from repro.net import (
+    FixedNode,
+    InterceptAction,
+    InterceptVerdict,
+    SecurityEnvelope,
+    VehicleNode,
+    WirelessChannel,
+    data_message,
+    hello_message,
+)
+from repro.net.channel import Frame
+from repro.sim import ChannelConfig, ScenarioConfig, World
+
+# -- the per-receiver dispatch, as it was ----------------------------------------
+
+
+def per_receiver_latency(config, distance_m, size_bytes, neighbor_count):
+    return (
+        config.base_transmit_delay_s
+        + size_bytes / config.bytes_per_second
+        + (distance_m / 1000.0) * config.propagation_delay_s_per_km * 1000.0
+        + config.contention_delay_per_neighbor_s * neighbor_count
+    )
+
+
+def per_receiver_loss_probability(config, distance_m):
+    loss = config.base_loss_probability + config.loss_per_100m * distance_m / 100.0
+    return min(0.95, max(0.0, loss))
+
+
+class PerReceiverChannel(WirelessChannel):
+    """The channel with one dispatch per receiver."""
+
+    def unicast(self, src_id, dst_id, message):
+        src = self.node(src_id)
+        dst = self._nodes.get(dst_id)
+        if self._taps:
+            self._offer_to_taps(Frame(src_id, dst_id, message, self.world.now), src)
+        self.world.metrics.increment("channel/frames_sent")
+        self.world.metrics.increment("channel/bytes_sent", message.total_bytes)
+        tracer = self.world.tracer
+        span = self._frame_span("msg.unicast", message, src_id, dst_id)
+        if dst is None or not self.in_range(src, dst):
+            self.world.metrics.increment("channel/frames_unreachable")
+            if span is not None and tracer is not None:
+                tracer.end_span(span, "dropped", {"reason": "unreachable"})
+            return False
+        tally = [0, 0, 0]
+        try:
+            self._dispatch_to(src, dst, message, tally, span=span)
+        finally:
+            self._count_frames(tally)
+        return True
+
+    def broadcast(self, src_id, message):
+        src = self.node(src_id)
+        if self._taps:
+            self._offer_to_taps(Frame(src_id, None, message, self.world.now), src)
+        self.world.metrics.increment("channel/frames_sent")
+        self.world.metrics.increment("channel/bytes_sent", message.total_bytes)
+        receivers = self.neighbors_of(src_id)
+        contention = len(receivers) if self._grid is not None else None
+        parent_span = self._frame_span("msg.broadcast", message, src_id, None)
+        tracer = self.world.tracer
+        tally = [0, 0, 0]
+        try:
+            for dst in receivers:
+                child = None
+                if parent_span is not None and tracer is not None:
+                    child = tracer.start_span(
+                        "msg.delivery",
+                        subsystem="net",
+                        parent=parent_span,
+                        attrs={"dst": dst.node_id},
+                    )
+                self._dispatch_to(src, dst, message, tally, contention=contention, span=child)
+        finally:
+            self._count_frames(tally)
+        if parent_span is not None and tracer is not None:
+            tracer.end_span(parent_span, "ok", {"receivers": len(receivers)})
+        return len(receivers)
+
+    def _count_frames(self, tally):
+        metrics = self.world.metrics
+        dispatched, lost, scheduled = tally
+        if dispatched:
+            metrics.increment("channel/frames_dispatched", dispatched)
+        if lost:
+            metrics.increment("channel/frames_lost", lost)
+        if scheduled:
+            metrics.increment("channel/frames_scheduled", scheduled)
+
+    def _first_verdict(self, frame):
+        for interceptor in self._interceptors:
+            verdict = interceptor(frame)
+            if verdict.action is not InterceptAction.PASS:
+                return verdict
+        return InterceptVerdict.passthrough()
+
+    def _dispatch_to(self, src, dst, message, tally, contention=None, span=None):
+        tally[0] += 1
+        tracer = self.world.tracer if span is not None else None
+        verdict = (
+            self._first_verdict(Frame(src.node_id, dst.node_id, message, self.world.now))
+            if self._interceptors
+            else InterceptVerdict.passthrough()
+        )
+        if verdict.action is InterceptAction.DROP:
+            self.world.metrics.increment("channel/frames_suppressed")
+            if tracer is not None:
+                tracer.link_active_faults(span)
+                tracer.end_span(span, "dropped", {"reason": "intercepted"})
+            return
+        extra_delay = 0.0
+        transmissions = 1
+        if verdict.action is InterceptAction.DELAY:
+            extra_delay = verdict.delay_s
+            self.world.metrics.increment("channel/frames_delayed")
+            if tracer is not None:
+                tracer.add_event(span, "delayed", extra_s=extra_delay)
+        elif verdict.action is InterceptAction.REPLACE:
+            message = verdict.replacement
+            self.world.metrics.increment("channel/frames_tampered")
+            if tracer is not None:
+                tracer.add_event(span, "tampered", replacement=message.msg_id)
+        elif verdict.action is InterceptAction.DUPLICATE:
+            transmissions += verdict.copies
+            self.world.metrics.increment("channel/frames_duplicated", verdict.copies)
+            if tracer is not None:
+                tracer.add_event(span, "duplicated", copies=verdict.copies)
+
+        distance = src.position.distance_to(dst.position)
+        loss_probability = per_receiver_loss_probability(self.config, distance)
+        if contention is None:
+            contention = self.neighbor_count(src.node_id)
+        latency = (
+            per_receiver_latency(self.config, distance, message.total_bytes, contention)
+            + extra_delay
+        )
+        deliver = functools.partial(
+            self._deliver, dst.node_id, message, src.node_id, latency, tracer, span
+        )
+        scheduled = 0
+        for _ in range(transmissions):
+            if self.rng.chance(loss_probability):
+                tally[1] += 1
+                if tracer is not None:
+                    tracer.add_event(span, "lost")
+                continue
+            self.world.engine.schedule(latency, deliver, label="frame-delivery")
+            scheduled += 1
+        tally[2] += scheduled
+        if tracer is not None and scheduled == 0:
+            tracer.link_active_faults(span)
+            tracer.end_span(span, "dropped", {"reason": "loss"})
+
+
+# -- the cost of one transmission ------------------------------------------------
+
+
+class TestTransmissionCost:
+    def test_a_transmission_is_one_dispatch_and_one_schedule_per_surviving_copy(self):
+        config = ChannelConfig(base_loss_probability=0.3, loss_per_100m=0.0)
+        world = World(ScenarioConfig(seed=5, channel=config))
+        channel = WirelessChannel(world)
+        FixedNode(world, channel, "src", Vec2(0, 0), 300.0)
+        for index in range(40):
+            FixedNode(world, channel, f"r{index}", Vec2(5.0 * (index + 1), 0), 300.0)
+        # Every third receiver gets two extra copies, every fifth none.
+        frames = {"seen": 0}
+
+        def every_third_duplicated(frame):
+            frames["seen"] += 1
+            if frames["seen"] % 5 == 0:
+                return InterceptVerdict.drop()
+            if frames["seen"] % 3 == 0:
+                return InterceptVerdict.duplicate(2)
+            return InterceptVerdict.passthrough()
+
+        channel.add_interceptor(every_third_duplicated)
+        calls = {"dispatch": 0}
+        dispatch = channel._dispatch
+
+        def counting_dispatch(*args, **kwargs):
+            calls["dispatch"] += 1
+            dispatch(*args, **kwargs)
+
+        channel._dispatch = counting_dispatch
+        labels: List[str] = []
+        schedule = world.engine.schedule
+
+        def recording_schedule(delay, callback, label=""):
+            labels.append(label)
+            return schedule(delay, callback, label)
+
+        world.engine.schedule = recording_schedule
+
+        assert channel.broadcast("src", hello_message("src", (0, 0), 0, 0, world.now)) == 40
+        assert channel.unicast("src", "r0", data_message("src", "r0", 100, world.now))
+        assert calls["dispatch"] == 2
+        counters = world.metrics.counters
+        assert counters["channel/frames_dispatched"] == 41
+        assert counters["channel/frames_lost"] > 0
+        assert labels == ["frame-delivery"] * int(counters["channel/frames_scheduled"])
+        assert len(labels) == (
+            counters["channel/frames_dispatched"]
+            + counters["channel/frames_duplicated"]
+            - counters["channel/frames_suppressed"]
+            - counters["channel/frames_lost"]
+        )
+
+
+# -- the differential test --------------------------------------------------------
+
+#: Lattice coordinates 60 m apart: nodes coincide, and sit at exactly
+#: 120, 180 or 300 m (a radio range) from each other, 3-4-5 triangles
+#: included.
+LATTICE = st.integers(min_value=-5, max_value=5).map(lambda k: 60.0 * k)
+POSITION = st.one_of(
+    st.tuples(LATTICE, LATTICE),
+    st.tuples(
+        st.floats(min_value=-320.0, max_value=320.0),
+        st.floats(min_value=-320.0, max_value=320.0),
+    ),
+)
+NODE = st.tuples(
+    st.sampled_from(["vehicle", "fixed"]), POSITION, st.sampled_from([120.0, 180.0, 300.0])
+)
+#: Frame sizes stay below the replacement's 841 bytes.
+SIZES = st.lists(st.integers(min_value=20, max_value=800), min_size=1, max_size=3)
+VERDICT = st.one_of(
+    st.just(("pass",)),
+    st.just(("drop",)),
+    st.tuples(st.just("delay"), st.sampled_from([0.0, 0.0004, 0.25, 1.5])),
+    st.just(("replace",)),
+    st.tuples(st.just("duplicate"), st.integers(min_value=1, max_value=3)),
+)
+INTERCEPTORS = st.lists(st.lists(VERDICT, min_size=1, max_size=4), max_size=3)
+INDEX = st.integers(min_value=0, max_value=11)
+OPERATION = st.one_of(
+    st.tuples(st.just("broadcast"), INDEX, INDEX),
+    st.tuples(st.just("unicast"), INDEX, INDEX, INDEX),
+    st.tuples(st.just("run"), st.sampled_from([0.0005, 0.003, 0.02, 1.0])),
+    st.tuples(st.just("move"), INDEX, POSITION),
+    st.tuples(st.just("detach"), INDEX),
+)
+LOSS = st.tuples(st.sampled_from([0.0, 0.05, 0.4]), st.sampled_from([0.0, 0.015, 0.3]))
+
+
+class Scripted:
+    """An interceptor that plays its verdicts in turn, one per frame seen."""
+
+    def __init__(self, verdicts, seen):
+        self.verdicts = verdicts
+        self.seen = seen
+        self.calls = 0
+
+    def __call__(self, frame):
+        self.seen.append((frame.src_id, frame.dst_id, frame.message.msg_id, frame.sent_at))
+        verdict = self.verdicts[self.calls % len(self.verdicts)]
+        self.calls += 1
+        return verdict
+
+
+class Side(NamedTuple):
+    world: World
+    channel: WirelessChannel
+    nodes: list
+    deliveries: list
+    seen: list
+
+
+def record_delivery(world, node_id, deliveries, message, from_id):
+    # The channel observes a delivery's latency just before handing the
+    # frame over, so the newest sample is this delivery's.
+    latency = world.metrics.samples("channel/delivery_latency_s")[-1]
+    deliveries.append((world.now, node_id, message.msg_id, from_id, latency))
+
+
+def build_side(channel_class, seed, loss, indexed, traced, nodes, interceptors):
+    config = ChannelConfig(base_loss_probability=loss[0], loss_per_100m=loss[1])
+    world = World(ScenarioConfig(seed=seed, channel=config))
+    if traced:
+        world.enable_observability(channel_frames="all")
+    channel = channel_class(world, use_spatial_index=indexed)
+    deliveries: list = []
+    built = []
+    for index, (kind, (x, y), range_m) in enumerate(nodes):
+        if kind == "vehicle":
+            vehicle = Vehicle(vehicle_id=f"v{index}", position=Vec2(x, y))
+            node = VehicleNode(world, channel, vehicle, radio_range_m=range_m)
+        else:
+            node = FixedNode(world, channel, f"f{index}", Vec2(x, y), range_m)
+        node.on_any(functools.partial(record_delivery, world, node.node_id, deliveries))
+        built.append(node)
+    seen: list = []
+    for verdicts in interceptors:
+        channel.add_interceptor(Scripted(verdicts, seen))
+    return Side(world, channel, built, deliveries, seen)
+
+
+def observe(side):
+    world = side.world
+    metrics = world.metrics
+    tracer = world.tracer
+    return {
+        "deliveries": list(side.deliveries),
+        "counters": [(k, v) for k, v in metrics.counters.items() if k.startswith("channel/")],
+        "latencies": list(metrics.samples("channel/delivery_latency_s")),
+        "rng": side.channel.rng._random.getstate(),
+        "spans": [span.as_dict() for span in tracer.spans()] if tracer is not None else [],
+        "frames_seen": list(side.seen),
+        "now": world.now,
+        "in_flight": world.engine.pending_labeled("frame-delivery"),
+    }
+
+
+def apply(side, operation, messages):
+    """Run one operation on one side; returns what the channel returned."""
+    nodes, channel = side.nodes, side.channel
+    kind = operation[0]
+    if kind == "run":
+        side.world.run_for(operation[1])
+        return None
+    node = nodes[operation[1] % len(nodes)]
+    if kind == "move":
+        if isinstance(node, VehicleNode):
+            node.vehicle.position = Vec2(*operation[2])
+        return None
+    if not channel.is_attached(node.node_id):
+        return None
+    if kind == "detach":
+        channel.detach(node.node_id)
+        return None
+    if kind == "broadcast":
+        return channel.broadcast(node.node_id, messages[operation[2] % len(messages)])
+    target = nodes[operation[2] % len(nodes)]
+    return channel.unicast(node.node_id, target.node_id, messages[operation[3] % len(messages)])
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "all-frames-traced"])
+@pytest.mark.parametrize("indexed", [True, False], ids=["indexed", "full-scan"])
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=3),
+    loss=LOSS,
+    nodes=st.lists(NODE, min_size=2, max_size=12),
+    sizes=SIZES,
+    scripts=INTERCEPTORS,
+    operations=st.lists(OPERATION, min_size=1, max_size=16),
+)
+def test_one_loop_dispatch_matches_per_receiver_dispatch(
+    indexed, traced, seed, loss, nodes, sizes, scripts, operations
+):
+    # Messages and verdicts are shared, so both sides see the same ids.
+    messages = [data_message("x", "y", size, 0.0) for size in sizes]
+    replacement = data_message("mitm", "y", 777, 0.0, payload={"forged": True}).with_envelope(
+        SecurityEnvelope(claimed_identity="mitm", extra_bytes=64)
+    )
+    verdict_of = {
+        "pass": InterceptVerdict.passthrough,
+        "drop": InterceptVerdict.drop,
+        "delay": InterceptVerdict.delay,
+        "replace": lambda: InterceptVerdict.replace(replacement),
+        "duplicate": InterceptVerdict.duplicate,
+    }
+    interceptors = [[verdict_of[name](*args) for name, *args in script] for script in scripts]
+    sides = [
+        build_side(channel_class, seed, loss, indexed, traced, nodes, interceptors)
+        for channel_class in (WirelessChannel, PerReceiverChannel)
+    ]
+    one_loop, per_receiver = sides
+    # After the drawn operations every node broadcasts once and unicasts
+    # to the next node, so every example puts its interceptor stack in
+    # front of real receivers.
+    sweep = [
+        operation
+        for index in range(len(nodes))
+        for operation in (("broadcast", index, index), ("unicast", index, index + 1, index))
+    ]
+    for operation in operations + sweep:
+        assert apply(one_loop, operation, messages) == apply(per_receiver, operation, messages)
+        assert observe(one_loop) == observe(per_receiver), operation
+    for side in sides:
+        side.world.run_for(5.0)
+    assert observe(one_loop) == observe(per_receiver)
+    assert observe(one_loop)["in_flight"] == 0

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos.invariants import ChannelConservation
 from repro.errors import ConfigurationError, NetworkError
 from repro.geometry import Vec2
 from repro.mobility import Vehicle
 from repro.net import (
     BROADCAST,
     FixedNode,
+    InterceptAction,
     InterceptVerdict,
     Message,
     MessageKind,
@@ -328,6 +330,50 @@ class TestInterceptors:
         world.run_for(1.0)
         assert world.metrics.counter("channel/frames_dispatched") == 6
         assert world.metrics.counter("channel/frames_delivered") == 6
+
+    @pytest.mark.parametrize("seconds", [-1.0, -1e-9, float("nan"), float("inf"), -float("inf")])
+    def test_delay_verdict_rejects_negative_and_non_finite_delays(self, seconds):
+        with pytest.raises(NetworkError):
+            InterceptVerdict.delay(seconds)
+
+    def test_delay_verdict_accepts_zero(self):
+        assert InterceptVerdict.delay(0.0).delay_s == 0.0
+
+    @pytest.mark.parametrize(
+        "verdict_on_second_receiver",
+        [
+            lambda: InterceptVerdict.delay(-1.0),
+            lambda: InterceptVerdict(InterceptAction.REPLACE),
+            lambda: 1 / 0,
+        ],
+        ids=["negative-delay", "replace-without-message", "interceptor-raises"],
+    )
+    def test_failing_verdict_leaves_conservation_balanced(self, verdict_on_second_receiver):
+        world = make_world()
+        channel = WirelessChannel(world)
+        FixedNode(world, channel, "src", Vec2(0, 0), 300.0)
+        for index in range(3):
+            FixedNode(world, channel, f"r{index}", Vec2(50.0 * (index + 1), 0), 300.0)
+        seen = []
+
+        def second_fails(frame):
+            seen.append(frame.dst_id)
+            if len(seen) == 2:
+                return verdict_on_second_receiver()
+            return InterceptVerdict.passthrough()
+
+        channel.add_interceptor(second_fails)
+        with pytest.raises((NetworkError, ZeroDivisionError)):
+            channel.broadcast("src", hello_message("src", (0, 0), 0, 0, world.now))
+        counters = world.metrics.counters
+        # The first receiver went on the air; the failing one and the
+        # one after it never did.
+        assert counters["channel/frames_dispatched"] == 1
+        assert counters["channel/frames_scheduled"] == 1
+        assert ChannelConservation(world).check(world.now) == []
+        world.run_for(1.0)
+        assert counters["channel/frames_delivered"] == 1
+        assert ChannelConservation(world).check(world.now) == []
 
 
 class TestTaps:
