@@ -14,11 +14,15 @@ the speed-of-light delay; see :class:`~repro.sim.config.ChannelConfig`.)
 A transmission costs one dispatch, not one per receiver: ``unicast``
 and ``broadcast`` each call ``_dispatch`` once, and its one loop walks
 the receivers with the frame's constants (source, airtime, tracer, the
-bound RNG draw and engine schedule) computed once.  Per receiver it
+bound RNG draw and the delivery batch) computed once.  Per receiver it
 keeps what varies: one distance, one loss probability, one RNG draw
 per transmitted copy and one ``frame-delivery`` event per surviving
-copy.  Every seeded output is the one the earlier per-receiver
-dispatch gave; ``_dispatch`` lists the orderings that guarantees.
+copy.  The surviving copies of a transmission share one engine batch
+(:meth:`~repro.sim.engine.Engine.batch`), so the transmission costs
+one heap entry and each delivery one entry in a sorted list.  Every
+seeded output is the one the earlier per-receiver dispatch, with one
+``schedule`` per copy, gave; ``_dispatch`` lists the orderings that
+guarantees.
 
 Range queries (``neighbors_of``, ``broadcast`` receiver sets, tap
 audibility) run through the world's :class:`~repro.sim.spatial.SpatialGrid`
@@ -496,12 +500,13 @@ class WirelessChannel:
         ``span``; a broadcast passes its receiver list, the frame's span
         as ``parent``, and ``contention`` when the receiver set gives
         it.  The frame's constants are computed once: the source id and
-        position, the airtime, the tracer, and the bound RNG draw,
-        engine schedule and delivery callback.  Each receiver costs one
-        distance, one :meth:`_loss_probability`, one RNG draw per
-        transmitted copy and one ``frame-delivery`` event per surviving
-        copy.  Frames, verdicts and span events cost only when an
-        interceptor is registered or the frame is traced.
+        position, the airtime, the tracer, the bound RNG draw and one
+        ``frame-delivery`` engine batch on :meth:`_deliver`.  Each
+        receiver costs one distance, one :meth:`_loss_probability`, one
+        RNG draw per transmitted copy and one batch entry per surviving
+        copy; the transmission costs one heap entry.  Frames, verdicts
+        and span events cost only when an interceptor is registered or
+        the frame is traced.
 
         Every seeded output is the one the old per-receiver dispatch
         gave, so the order of side effects is fixed:
@@ -516,7 +521,12 @@ class WirelessChannel:
         * with no ``contention`` given (a unicast, or the legacy
           full-scan channel) each receiver calls :meth:`neighbor_count`
           after its verdict;
-        * each copy draws its own loss, in order.
+        * each copy draws its own loss, in order;
+        * each surviving copy's batch entry takes its engine sequence
+          number at the ``add``, as its own ``schedule`` call did, so an
+          event an interceptor schedules between two copies keeps its
+          place; the ``finally`` closes the batch, so copies added
+          before a raising interceptor are still queued.
 
         Conservation law (checked by chaos invariants): every receiver
         accounts for all its transmissions exactly once —
@@ -541,9 +551,8 @@ class WirelessChannel:
         loss_probability_at = self._loss_probability
         hop_latency = self._hop_latency
         chance = self.rng.chance
-        schedule = world.engine.schedule
-        deliver = self._deliver
-        partial = functools.partial
+        batch = world.engine.batch("frame-delivery", self._deliver)
+        add = batch.add
         dispatched = lost = scheduled = 0
         try:
             for dst in receivers:
@@ -598,9 +607,8 @@ class WirelessChannel:
                     )
                     + extra_delay
                 )
-                # One delivery callback serves every copy; the engine
-                # calls it with no arguments.
-                deliver_copy = partial(deliver, dst_id, sent, src_id, latency, tracer, span)
+                # One argument tuple serves every copy.
+                delivery = (dst_id, sent, src_id, latency, tracer, span)
                 survived = 0
                 while copies:
                     copies -= 1
@@ -609,13 +617,14 @@ class WirelessChannel:
                         if tracer is not None:
                             tracer.add_event(span, "lost")
                     else:
-                        schedule(latency, deliver_copy, "frame-delivery")
+                        add(latency, delivery)
                         survived += 1
                 scheduled += survived
                 if tracer is not None and not survived:
                     tracer.link_active_faults(span)
                     tracer.end_span(span, "dropped", {"reason": "loss"})
         finally:
+            batch.close()
             if dispatched:
                 metrics.increment("channel/frames_dispatched", dispatched)
             if lost:

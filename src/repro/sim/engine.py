@@ -26,15 +26,48 @@ times every dispatched callback by label, and an attached
 ``None`` by default (one attribute test per event) and neither touches
 the queue, the clock, or any RNG — seeded runs are byte-identical with
 or without them.
+
+Batches: a fan-out of calls of one function under one label — the
+deliveries of one radio transmission — can be queued as one heap entry
+instead of one per call::
+
+    batch = engine.batch("frame-delivery", deliver)
+    batch.add(latency, (dst_id, message))   # per call
+    batch.close()
+
+Each :meth:`EventBatch.add` is exactly ``schedule(delay, partial(fn,
+*args), label)``: the same rejection of a negative or NaN delay, the
+same ``now + delay`` time, and a sequence number drawn at the ``add``,
+so an event scheduled between two adds keeps its place.
+:meth:`EventBatch.close` sorts the entries by ``(time, sequence)`` and
+pushes one heap entry keyed by the first; an empty batch queues
+nothing.  A batch returns no handle and cannot be cancelled.
+
+:meth:`Engine.run_until` pops a batch and runs its entries while the
+next entry is due by ``end_time`` and sorts before the heap top (one
+tuple comparison, no heap push per entry); it pushes the batch back
+under its next entry only when another event comes first or
+``end_time`` cuts the batch.  :meth:`Engine.step` and
+:meth:`Engine.drain` run one entry per step.  Every entry is one event:
+it counts once in :attr:`Engine.events_executed` and against
+``max_events``, goes through the profiler under the batch's label,
+and under ``"record"``/``"suppress"`` a raising entry is ledgered and
+the batch goes on; under ``"raise"`` the exception propagates and the
+remaining entries stay queued.  :attr:`Engine.pending_events` and
+:meth:`Engine.pending_labeled` count a batch's pending entries.  So
+every event, batched or not, runs in the order one ``schedule`` call
+per entry gave it, and seeded runs stay byte-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import SimulationError
 
@@ -62,9 +95,10 @@ class CallbackFailure:
 class EventHandle:
     """One scheduled callback, and the handle ``schedule`` returns for it.
 
-    The heap holds ``(time, sequence, handle)`` tuples, so ordering is a
-    C-level tuple comparison that never reaches the handle itself: the
-    sequence number is unique, which breaks every time tie.
+    The heap holds ``(time, sequence, handle)`` tuples (a batch's entry
+    holds the batch, keyed by its next entry), so ordering is a C-level
+    tuple comparison that never reaches the handle itself: the sequence
+    number is unique, which breaks every time tie.
     """
 
     __slots__ = ("_time", "_callback", "_label", "_cancelled", "_fired", "_engine")
@@ -102,7 +136,49 @@ class EventHandle:
         self._engine._note_cancellation()
 
 
-_Entry = Tuple[float, int, EventHandle]
+class EventBatch:
+    """Calls of one function under one label, queued as one heap entry.
+
+    Made by :meth:`Engine.batch`; see the module docstring for the
+    contract.  Entries are ``(time, sequence, args)`` tuples, sorted at
+    :meth:`close`; ``_next`` indexes the first entry not yet run.
+    """
+
+    __slots__ = ("_engine", "_sequence", "_fn", "_label", "_entries", "_next", "_closed")
+
+    #: Batches cannot be cancelled; compaction and the loops read this.
+    _cancelled = False
+
+    def __init__(self, engine: "Engine", label: str, fn: Callable[..., Any]) -> None:
+        self._engine = engine
+        self._sequence = engine._sequence
+        self._fn = fn
+        self._label = label
+        self._entries: List[Tuple[float, int, Tuple[Any, ...]]] = []
+        self._next = 0
+        self._closed = False
+
+    def add(self, delay: float, args: Tuple[Any, ...]) -> None:
+        """Queue ``fn(*args)`` to run ``delay`` seconds from now."""
+        # Written so that NaN, for which every comparison is false, fails.
+        if not delay >= 0:
+            raise SimulationError(f"delay must be a non-negative number, got {delay}")
+        if self._closed:
+            raise SimulationError("cannot add to a closed batch")
+        self._entries.append((self._engine._now + delay, next(self._sequence), args))
+
+    def close(self) -> None:
+        """Sort the entries and queue the batch under its first one."""
+        if self._closed:
+            raise SimulationError("batch already closed")
+        self._closed = True
+        entries = self._entries
+        if entries:
+            entries.sort()
+            self._engine._queue_batch(self)
+
+
+_Entry = Tuple[float, int, Union[EventHandle, EventBatch]]
 
 
 class Engine:
@@ -118,6 +194,11 @@ class Engine:
         self._sequence = itertools.count()
         self._events_executed = 0
         self._cancelled_pending = 0
+        # Pending batch entries beyond the one each queued batch's heap
+        # entry stands for; the batch being run is off the heap and
+        # counted through ``_active_batch`` instead.
+        self._batch_surplus = 0
+        self._active_batch: Optional[EventBatch] = None
         self._running = False
         self.error_policy = error_policy
         #: Detailed failure records (populated under the "record" policy).
@@ -151,9 +232,13 @@ class Engine:
 
         Cancelled events may linger in the heap until lazily compacted,
         but they are excluded from this count, so the property reports
-        real pending work.
+        real pending work.  Every pending batch entry counts as one.
         """
-        return len(self._queue) - self._cancelled_pending
+        pending = len(self._queue) - self._cancelled_pending + self._batch_surplus
+        active = self._active_batch
+        if active is not None:
+            pending += len(active._entries) - active._next
+        return pending
 
     def pending_labeled(self, label: str) -> int:
         """Count live queued events carrying exactly this label.
@@ -161,13 +246,20 @@ class Engine:
         A linear scan of the heap — meant for low-frequency callers such
         as invariant checks reconciling in-flight work (e.g. pending
         ``"frame-delivery"`` events against channel counters), not hot
-        paths.
+        paths.  Every pending batch entry counts as one.
         """
-        return sum(
-            1
-            for _, _, event in self._queue
-            if not event._cancelled and not event._fired and event._label == label
-        )
+        count = 0
+        for _, _, event in self._queue:
+            if event._label != label or event._cancelled:
+                continue
+            if isinstance(event, EventBatch):
+                count += len(event._entries) - event._next
+            elif not event._fired:
+                count += 1
+        active = self._active_batch
+        if active is not None and active._label == label:
+            count += len(active._entries) - active._next
+        return count
 
     # -- error handling ------------------------------------------------------
 
@@ -240,6 +332,33 @@ class Engine:
         heapq.heappush(self._queue, (when, next(self._sequence), event))
         return event
 
+    def batch(self, label: str, fn: Callable[..., Any]) -> EventBatch:
+        """Open a batch of ``fn`` calls under ``label``; see :class:`EventBatch`."""
+        return EventBatch(self, label, fn)
+
+    def _queue_batch(self, batch: EventBatch) -> None:
+        """Push a batch's heap entry, keyed by its next entry."""
+        entries = batch._entries
+        index = batch._next
+        first = entries[index]
+        heapq.heappush(self._queue, (first[0], first[1], batch))
+        self._batch_surplus += len(entries) - index - 1
+
+    def _requeue_active_batch(self) -> None:
+        """Put the batch being run back on the heap, if entries are left.
+
+        ``_run_batch`` calls this when it stops.  A loop entered from
+        inside one of the batch's entries (a nested ``step``,
+        ``run_until`` or ``drain``) calls it first, so it sees the
+        remaining entries in the heap; the outer run then stops.
+        """
+        batch = self._active_batch
+        if batch is None:
+            return
+        self._active_batch = None
+        if batch._next < len(batch._entries):
+            self._queue_batch(batch)
+
     def call_every(
         self,
         interval: float,
@@ -278,65 +397,112 @@ class Engine:
             heapq.heapify(queue)
             self._cancelled_pending = 0
 
-    def _pop_live_event(self) -> Optional[EventHandle]:
-        """Pop the next non-cancelled event, or None if the queue is empty."""
-        queue = self._queue
-        while queue:
-            event = heapq.heappop(queue)[2]
-            event._fired = True
-            if event._cancelled:
-                self._cancelled_pending -= 1
-                continue
-            return event
-        return None
-
     # -- execution -----------------------------------------------------------
 
     def step(self) -> bool:
         """Execute the single next non-cancelled event.
 
-        Returns True if an event ran, False if the queue is empty.
+        Returns True if an event ran, False if the queue is empty.  A
+        batch runs one entry per step.
         """
-        event = self._pop_live_event()
-        if event is None:
-            return False
-        self._now = event._time
-        self._events_executed += 1
-        self._run_callback(event._callback, event._label)
-        return True
+        self._requeue_active_batch()
+        queue = self._queue
+        while queue:
+            when, _, event = heapq.heappop(queue)
+            if event._cancelled:
+                self._cancelled_pending -= 1
+                continue
+            if isinstance(event, EventBatch):
+                self._run_batch(event, when, 1, 0)
+                return True
+            event._fired = True
+            self._now = when
+            self._events_executed += 1
+            self._run_callback(event._callback, event._label)
+            return True
+        return False
 
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
         """Run events until the clock would pass ``end_time``.
 
         The clock finishes exactly at ``end_time``.  Returns the number of
         events executed during this call.  ``max_events`` is a safety
-        valve against runaway event storms.
+        valve against runaway event storms: the call raises when one
+        more event than that is due.
         """
         if not end_time >= self._now:
             raise SimulationError(
                 f"end_time {end_time:.6f} is before current time {self._now:.6f}"
             )
+        self._requeue_active_batch()
+        limit = sys.maxsize if max_events is None else max_events
         queue = self._queue
         heappop = heapq.heappop
         executed = 0
         while queue:
-            when = queue[0][0]
+            when, _, event = queue[0]
             if when > end_time:
                 break
-            event = heappop(queue)[2]
-            event._fired = True
             if event._cancelled:
+                heappop(queue)
                 self._cancelled_pending -= 1
                 continue
+            if executed >= limit:
+                raise SimulationError(
+                    f"exceeded max_events={max_events} before t={end_time}"
+                )
+            heappop(queue)
+            if isinstance(event, EventBatch):
+                executed = self._run_batch(event, end_time, limit, executed)
+                continue
+            event._fired = True
             self._now = when
             self._events_executed += 1
             executed += 1
             self._run_callback(event._callback, event._label)
-            if max_events is not None and executed >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} before t={end_time}"
-                )
         self._now = end_time
+        return executed
+
+    def _run_batch(self, batch: EventBatch, end_time: float, limit: int, executed: int) -> int:
+        """Run a popped batch's entries while each is due and first in line.
+
+        Runs at least one entry and returns ``executed`` plus the entries
+        run.  The batch is pushed back under its next entry when an event
+        in the heap sorts before that entry, when ``end_time`` cuts it,
+        when ``executed`` reaches ``limit`` (the caller decides whether
+        to raise), or when an entry raises.
+        """
+        queue = self._queue
+        entries = batch._entries
+        fn = batch._fn
+        label = batch._label
+        index = batch._next
+        last = len(entries)
+        self._batch_surplus -= last - index - 1
+        self._active_batch = batch
+        entry = entries[index]
+        try:
+            while True:
+                index += 1
+                batch._next = index
+                self._now = entry[0]
+                self._events_executed += 1
+                executed += 1
+                if self.profiler is None and self.error_policy == "raise":
+                    fn(*entry[2])
+                else:
+                    self._run_callback(functools.partial(fn, *entry[2]), label)
+                if self._active_batch is not batch:
+                    # A nested loop re-queued the batch and owns it now.
+                    return executed
+                if index == last:
+                    self._active_batch = None
+                    return executed
+                entry = entries[index]
+                if entry[0] > end_time or (queue and queue[0] < entry) or executed >= limit:
+                    break
+        finally:
+            self._requeue_active_batch()
         return executed
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
@@ -344,12 +510,13 @@ class Engine:
         return self.run_until(self._now + duration, max_events=max_events)
 
     def drain(self, max_events: int = 1_000_000) -> int:
-        """Run until the queue is empty (bounded by ``max_events``)."""
+        """Run until the queue is empty; raise when one more than ``max_events`` is due."""
         executed = 0
-        while self.step():
-            executed += 1
+        while self.pending_events:
             if executed >= max_events:
                 raise SimulationError(f"drain exceeded max_events={max_events}")
+            self.step()
+            executed += 1
         return executed
 
 

@@ -2,13 +2,15 @@
 
 A unicast or a broadcast puts its frame on the air in one call of
 ``WirelessChannel._dispatch``: one loop over the receivers, with the
-frame's constants computed once.  The guard below pins that cost.  The
-differential test runs two identically seeded worlds through the same
-transmissions: one on the channel as it is, the other on the
+frame's constants computed once, and one engine batch holding every
+surviving copy, so one heap entry.  The guard below pins that cost.
+The differential test runs two identically seeded worlds through the
+same transmissions: one on the channel as it is, the other on the
 per-receiver dispatch it replaced, written out here (one dispatch per
-receiver, with the latency and loss formulas as they were).  Every
-delivery, channel counter, latency sample, RNG state, interceptor call
-and span must stay equal.
+receiver and one ``schedule`` per copy, with the latency and loss
+formulas as they were).  Every delivery, probe event scheduled by an
+interceptor, channel counter, latency sample, RNG state, interceptor
+call and span must stay equal, in engine order.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.net import (
     hello_message,
 )
 from repro.net.channel import Frame
+from repro.obs import Profiler
 from repro.sim import ChannelConfig, ScenarioConfig, World
 
 # -- the per-receiver dispatch, as it was ----------------------------------------
@@ -182,6 +185,22 @@ class PerReceiverChannel(WirelessChannel):
 # -- the cost of one transmission ------------------------------------------------
 
 
+class RecordingBatch:
+    """An engine batch that records the label of every entry added."""
+
+    def __init__(self, batch, label, labels):
+        self.batch = batch
+        self.label = label
+        self.labels = labels
+
+    def add(self, delay, args):
+        self.labels.append(self.label)
+        self.batch.add(delay, args)
+
+    def close(self):
+        self.batch.close()
+
+
 class TestTransmissionCost:
     def test_a_transmission_is_one_dispatch_and_one_schedule_per_surviving_copy(self):
         config = ChannelConfig(base_loss_probability=0.3, loss_per_100m=0.0)
@@ -210,17 +229,34 @@ class TestTransmissionCost:
             dispatch(*args, **kwargs)
 
         channel._dispatch = counting_dispatch
+        engine = world.engine
+        # One label per batch entry added, one per batch opened, and the
+        # heap size after each transmission.
         labels: List[str] = []
-        schedule = world.engine.schedule
+        batches: List[str] = []
+        heap_sizes = [len(engine._queue)]
+        open_batch = engine.batch
+
+        def recording_batch(label, fn):
+            batches.append(label)
+            return RecordingBatch(open_batch(label, fn), label, labels)
+
+        engine.batch = recording_batch
+        scheduled: List[str] = []
+        schedule = engine.schedule
 
         def recording_schedule(delay, callback, label=""):
-            labels.append(label)
+            scheduled.append(label)
             return schedule(delay, callback, label)
 
-        world.engine.schedule = recording_schedule
+        engine.schedule = recording_schedule
 
         assert channel.broadcast("src", hello_message("src", (0, 0), 0, 0, world.now)) == 40
+        heap_sizes.append(len(engine._queue))
+        broadcast_copies = len(labels)
         assert channel.unicast("src", "r0", data_message("src", "r0", 100, world.now))
+        heap_sizes.append(len(engine._queue))
+        unicast_copies = len(labels) - broadcast_copies
         assert calls["dispatch"] == 2
         counters = world.metrics.counters
         assert counters["channel/frames_dispatched"] == 41
@@ -232,6 +268,21 @@ class TestTransmissionCost:
             - counters["channel/frames_suppressed"]
             - counters["channel/frames_lost"]
         )
+        # One batch per transmission and no per-copy schedule; a batch
+        # with copies is one heap entry, an empty one queues nothing.
+        assert batches == ["frame-delivery", "frame-delivery"]
+        assert scheduled == []
+        assert broadcast_copies > 1
+        assert heap_sizes == [0, 1, 1 + min(unicast_copies, 1)]
+        assert engine.pending_labeled("frame-delivery") == counters["channel/frames_scheduled"]
+        engine.profiler = Profiler()
+        world.run_until(1.0)
+        assert (
+            engine.profiler.profile("frame-delivery").count
+            == counters["channel/frames_scheduled"]
+            == counters["channel/frames_delivered"]
+        )
+        assert engine.pending_events == 0
 
 
 # -- the differential test --------------------------------------------------------
@@ -269,6 +320,13 @@ OPERATION = st.one_of(
     st.tuples(st.just("detach"), INDEX),
 )
 LOSS = st.tuples(st.sampled_from([0.0, 0.05, 0.4]), st.sampled_from([0.0, 0.015, 0.3]))
+#: The prober's plan (no prober at all, so the interceptor-free path
+#: stays covered): no event, a fixed delay, or the previous receiver's
+#: latency.
+PROBES = st.one_of(
+    st.none(),
+    st.lists(st.sampled_from([None, "earlier", "earlier", 0.0, 0.0004]), min_size=1, max_size=4),
+)
 
 
 class Scripted:
@@ -286,6 +344,51 @@ class Scripted:
         return verdict
 
 
+class Prober:
+    """An interceptor that schedules one engine event per frame it is shown.
+
+    Its plan gives, frame by frame, no event, a fixed delay, or
+    ``"earlier"``: exactly the latency the previous receiver of the same
+    transmission got if its copy passed undelayed and unreplaced, so the
+    event ties in time with that receiver's delivery.  It always passes.
+    """
+
+    def __init__(self, world, channel, plan, log):
+        self.world = world
+        self.channel = channel
+        self.plan = plan
+        self.log = log
+        self.calls = 0
+        self.previous = None
+
+    def __call__(self, frame):
+        channel = self.channel
+        src = channel.node(frame.src_id)
+        dst = channel.node(frame.dst_id)
+        latency = channel.latency(
+            src.position.distance_to(dst.position),
+            frame.message.total_bytes,
+            channel.neighbor_count(frame.src_id),
+        )
+        transmission = (frame.src_id, frame.message.msg_id, frame.sent_at)
+        choice = self.plan[self.calls % len(self.plan)]
+        self.calls += 1
+        delay = choice
+        if choice == "earlier":
+            previous = self.previous
+            delay = previous[1] if previous is not None and previous[0] == transmission else None
+        self.previous = (transmission, latency)
+        if delay is not None:
+            self.world.engine.schedule(
+                delay, functools.partial(record_probe, self.world, self.log, self.calls), "probe"
+            )
+        return InterceptVerdict.passthrough()
+
+
+def record_probe(world, log, number):
+    log.append((world.now, "probe", number))
+
+
 class Side(NamedTuple):
     world: World
     channel: WirelessChannel
@@ -301,7 +404,7 @@ def record_delivery(world, node_id, deliveries, message, from_id):
     deliveries.append((world.now, node_id, message.msg_id, from_id, latency))
 
 
-def build_side(channel_class, seed, loss, indexed, traced, nodes, interceptors):
+def build_side(channel_class, seed, loss, indexed, traced, nodes, interceptors, probes):
     config = ChannelConfig(base_loss_probability=loss[0], loss_per_100m=loss[1])
     world = World(ScenarioConfig(seed=seed, channel=config))
     if traced:
@@ -318,6 +421,8 @@ def build_side(channel_class, seed, loss, indexed, traced, nodes, interceptors):
         node.on_any(functools.partial(record_delivery, world, node.node_id, deliveries))
         built.append(node)
     seen: list = []
+    if probes is not None:
+        channel.add_interceptor(Prober(world, channel, probes, deliveries))
     for verdicts in interceptors:
         channel.add_interceptor(Scripted(verdicts, seen))
     return Side(world, channel, built, deliveries, seen)
@@ -371,10 +476,11 @@ def apply(side, operation, messages):
     nodes=st.lists(NODE, min_size=2, max_size=12),
     sizes=SIZES,
     scripts=INTERCEPTORS,
+    probes=PROBES,
     operations=st.lists(OPERATION, min_size=1, max_size=16),
 )
 def test_one_loop_dispatch_matches_per_receiver_dispatch(
-    indexed, traced, seed, loss, nodes, sizes, scripts, operations
+    indexed, traced, seed, loss, nodes, sizes, scripts, probes, operations
 ):
     # Messages and verdicts are shared, so both sides see the same ids.
     messages = [data_message("x", "y", size, 0.0) for size in sizes]
@@ -390,7 +496,7 @@ def test_one_loop_dispatch_matches_per_receiver_dispatch(
     }
     interceptors = [[verdict_of[name](*args) for name, *args in script] for script in scripts]
     sides = [
-        build_side(channel_class, seed, loss, indexed, traced, nodes, interceptors)
+        build_side(channel_class, seed, loss, indexed, traced, nodes, interceptors, probes)
         for channel_class in (WirelessChannel, PerReceiverChannel)
     ]
     one_loop, per_receiver = sides

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs import Profiler
 from repro.sim import Engine, SeededRng
 
 
@@ -113,6 +114,34 @@ class TestScheduling:
         engine.schedule(0.0001, storm)
         with pytest.raises(SimulationError):
             engine.run_until(10.0, max_events=50)
+
+    def test_run_until_runs_exactly_max_events(self):
+        engine = Engine()
+        for index in range(4):
+            engine.schedule(index + 1.0, lambda: None)
+        assert engine.run_until(10.0, max_events=4) == 4
+        assert engine.now == 10.0
+        assert engine.pending_events == 0
+
+    def test_drain_runs_exactly_max_events(self):
+        engine = Engine()
+        fired = []
+        for index in range(4):
+            engine.schedule(index + 1.0, lambda i=index: fired.append(i))
+        assert engine.drain(max_events=4) == 4
+        assert fired == [0, 1, 2, 3]
+        assert engine.pending_events == 0
+
+    def test_max_events_raises_with_the_next_event_still_queued(self):
+        for run in (lambda e: e.run_until(10.0, max_events=4), lambda e: e.drain(max_events=4)):
+            engine = Engine()
+            for index in range(5):
+                engine.schedule(index + 1.0, lambda: None)
+            with pytest.raises(SimulationError):
+                run(engine)
+            assert engine.events_executed == 4
+            assert engine.now == 4.0
+            assert engine.pending_events == 1
 
     def test_events_executed_counter(self):
         engine = Engine()
@@ -370,3 +399,125 @@ class TestPeriodicTaskFailure:
         holder["task"] = engine.call_every(1.0, once)
         engine.run_until(10.0)
         assert holder["task"].firings == 1
+
+
+class TestBatches:
+    def _batch(self, engine, fired, delays, label="deliver"):
+        batch = engine.batch(label, lambda tag: fired.append((engine.now, tag)))
+        for tag, delay in enumerate(delays):
+            batch.add(delay, (tag,))
+        batch.close()
+
+    def test_entries_run_in_time_then_add_order_with_other_events(self):
+        engine = Engine()
+        fired = []
+        batch = engine.batch("deliver", lambda tag: fired.append((engine.now, tag)))
+        batch.add(2.0, ("b0",))
+        engine.schedule(1.0, lambda: fired.append((engine.now, "e0")))
+        batch.add(1.0, ("b1",))
+        engine.schedule(1.0, lambda: fired.append((engine.now, "e1")))
+        batch.add(1.0, ("b2",))
+        batch.close()
+        assert engine.pending_events == 5
+        assert engine.pending_labeled("deliver") == 3
+        assert engine.run_until(5.0) == 5
+        assert fired == [(1.0, "e0"), (1.0, "b1"), (1.0, "e1"), (1.0, "b2"), (2.0, "b0")]
+
+    def test_a_batch_is_one_heap_entry(self):
+        engine = Engine()
+        fired = []
+        self._batch(engine, fired, [0.5, 0.25, 0.75])
+        assert len(engine._queue) == 1
+        assert engine.pending_events == 3
+
+    def test_empty_batch_queues_nothing(self):
+        engine = Engine()
+        engine.batch("deliver", lambda: None).close()
+        assert engine._queue == []
+        assert engine.pending_events == 0
+
+    def test_add_rejects_negative_and_nan_delays_and_a_closed_batch(self):
+        engine = Engine()
+        batch = engine.batch("deliver", lambda: None)
+        for delay in (-0.1, float("nan")):
+            with pytest.raises(SimulationError):
+                batch.add(delay, ())
+        batch.close()
+        with pytest.raises(SimulationError):
+            batch.add(1.0, ())
+        with pytest.raises(SimulationError):
+            batch.close()
+
+    def test_end_time_cuts_a_batch_and_keeps_the_rest(self):
+        engine = Engine()
+        fired = []
+        self._batch(engine, fired, [1.0, 2.0, 3.0])
+        assert engine.run_until(2.0) == 2
+        assert engine.pending_labeled("deliver") == 1
+        assert engine.run_until(3.0) == 1
+        assert [tag for _, tag in fired] == [0, 1, 2]
+
+    def test_max_events_counts_entries(self):
+        engine = Engine()
+        fired = []
+        self._batch(engine, fired, [1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(SimulationError):
+            engine.run_until(10.0, max_events=4)
+        assert engine.now == 4.0
+        assert engine.pending_events == 1
+        assert engine.run_until(10.0, max_events=1) == 1
+
+    def test_step_runs_one_entry(self):
+        engine = Engine()
+        fired = []
+        self._batch(engine, fired, [1.0, 1.0])
+        assert engine.step()
+        assert fired == [(1.0, 0)]
+        assert engine.pending_events == 1
+        assert engine.drain() == 1
+        assert not engine.step()
+
+    def test_each_entry_is_one_profiled_event(self):
+        engine = Engine()
+        engine.profiler = Profiler()
+        fired = []
+        self._batch(engine, fired, [0.5, 0.5, 1.0])
+        engine.run_until(2.0)
+        assert engine.events_executed == 3
+        assert engine.profiler.profile("deliver").count == 3
+
+    def test_raising_entry_under_raise_leaves_the_rest_queued(self):
+        engine = Engine()
+        fired = []
+
+        def deliver(tag):
+            fired.append(tag)
+            if tag == 1:
+                raise ValueError("boom")
+
+        batch = engine.batch("deliver", deliver)
+        for tag in range(4):
+            batch.add(1.0, (tag,))
+        batch.close()
+        with pytest.raises(ValueError):
+            engine.run_until(2.0)
+        assert engine.pending_labeled("deliver") == 2
+        engine.run_until(2.0)
+        assert fired == [0, 1, 2, 3]
+
+    def test_raising_entry_under_record_is_ledgered_and_the_batch_goes_on(self):
+        engine = Engine(error_policy="record")
+        fired = []
+
+        def deliver(tag):
+            fired.append(tag)
+            if tag == 1:
+                raise ValueError("boom")
+
+        batch = engine.batch("deliver", deliver)
+        for tag in range(3):
+            batch.add(1.0, (tag,))
+        batch.close()
+        assert engine.run_until(2.0) == 3
+        assert fired == [0, 1, 2]
+        assert engine.failure_counts == {"deliver": 1}
