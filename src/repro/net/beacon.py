@@ -9,8 +9,7 @@ kinematic state once per interval, and receivers keep a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..geometry import Vec2
@@ -19,20 +18,74 @@ from .messages import Message, MessageKind, hello_message
 from .node import VehicleNode
 
 
-@dataclass
 class NeighborEntry:
-    """Last-known state of one neighbor, refreshed by its beacons."""
+    """Last-known state of one neighbor, refreshed by its beacons.
 
-    node_id: str
-    position: Vec2
-    speed_mps: float
-    heading_rad: float
-    last_seen: float
-    beacon_count: int = 1
+    A refresh stores the HELLO's ``(x, y)`` pair, not a :class:`Vec2`:
+    tables are written on every heard beacon and read far more rarely,
+    so ``position`` is built on its first read after a refresh and
+    cached until the next one.  It always equals ``Vec2(x, y)`` of the
+    latest HELLO, and it can be assigned.
+    """
+
+    __slots__ = (
+        "node_id",
+        "speed_mps",
+        "heading_rad",
+        "last_seen",
+        "beacon_count",
+        "_pair",
+        "_position",
+    )
+
+    def __init__(
+        self,
+        node_id: str,
+        position: Vec2,
+        speed_mps: float,
+        heading_rad: float,
+        last_seen: float,
+        beacon_count: int = 1,
+    ) -> None:
+        self.node_id = node_id
+        self._pair: Optional[Tuple[float, float]] = None
+        self._position: Optional[Vec2] = position
+        self.speed_mps = speed_mps
+        self.heading_rad = heading_rad
+        self.last_seen = last_seen
+        self.beacon_count = beacon_count
+
+    @property
+    def position(self) -> Vec2:
+        """The latest HELLO's position, built on its first read."""
+        position = self._position
+        if position is None:
+            pair = self._pair
+            assert pair is not None
+            position = self._position = Vec2(pair[0], pair[1])
+        return position
+
+    @position.setter
+    def position(self, value: Vec2) -> None:
+        self._position = value
 
     def age(self, now: float) -> float:
         """Seconds since the last beacon from this neighbor."""
         return now - self.last_seen
+
+    # Entries compare and print by their public fields.
+    _FIELDS = ("node_id", "position", "speed_mps", "heading_rad", "last_seen", "beacon_count")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._FIELDS)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"NeighborEntry({fields})"
 
 
 class NeighborTable:
@@ -44,12 +97,19 @@ class NeighborTable:
     ever-frozen table: expiry used to run only inside the owner's beacon
     callback, which a crashed beaconer never executes again.  Without a
     clock, expiry remains explicit via :meth:`expire`.
+
+    Refreshing an entry from a HELLO allocates nothing: the entry keeps
+    the payload's own position tuple, which every receiver of that
+    beacon shares, and builds its ``Vec2`` only when read.  A pair that
+    is not a tuple is copied into one, so mutating it later does not
+    reach the table.  :meth:`ids`, :meth:`entries` and the list
+    :meth:`expire` returns follow first-heard order.
     """
 
     def __init__(
         self, timeout_s: float, clock: Optional[Callable[[], float]] = None
     ) -> None:
-        if timeout_s <= 0:
+        if not timeout_s > 0:
             raise ConfigurationError("timeout_s must be positive")
         self.timeout_s = timeout_s
         self._clock = clock
@@ -61,31 +121,33 @@ class NeighborTable:
 
     def update_from_hello(self, message: Message, now: float) -> NeighborEntry:
         """Insert or refresh an entry from a HELLO message."""
-        position = message.payload["position"]
+        payload = message.payload
+        pair = payload["position"]
+        if pair.__class__ is not tuple:
+            pair = (pair[0], pair[1])
         entry = self._entries.get(message.src)
         if entry is None:
-            entry = NeighborEntry(
-                node_id=message.src,
-                position=Vec2(position[0], position[1]),
-                speed_mps=message.payload.get("speed_mps", 0.0),
-                heading_rad=message.payload.get("heading_rad", 0.0),
-                last_seen=now,
-            )
+            # A new entry is an empty one refreshed once.
+            entry = NeighborEntry.__new__(NeighborEntry)
+            entry.node_id = message.src
+            entry.speed_mps = entry.heading_rad = 0.0
+            entry.beacon_count = 0
             self._entries[message.src] = entry
-        else:
-            entry.position = Vec2(position[0], position[1])
-            entry.speed_mps = message.payload.get("speed_mps", entry.speed_mps)
-            entry.heading_rad = message.payload.get("heading_rad", entry.heading_rad)
-            entry.last_seen = now
-            entry.beacon_count += 1
+        entry._pair = pair
+        entry._position = None
+        entry.speed_mps = payload.get("speed_mps", entry.speed_mps)
+        entry.heading_rad = payload.get("heading_rad", entry.heading_rad)
+        entry.last_seen = now
+        entry.beacon_count += 1
         return entry
 
     def expire(self, now: float) -> List[str]:
         """Drop entries older than the timeout; returns the dropped ids."""
+        timeout_s = self.timeout_s
         stale = [
             node_id
             for node_id, entry in self._entries.items()
-            if entry.age(now) > self.timeout_s
+            if now - entry.last_seen > timeout_s
         ]
         for node_id in stale:
             del self._entries[node_id]

@@ -13,23 +13,35 @@ Correctness contract
 --------------------
 ``within()`` returns **exactly** the set a brute-force scan over the same
 items would: candidates from the overlapping cells are filtered with the
-identical ``Vec2.distance_to(...) <= radius`` comparison (boundary-exact
-distances included), and results come back ordered by insertion sequence,
-which matches the iteration order of the ``dict``-backed registries the
+identical ``math.hypot(px - x, py - y) <= radius`` comparison that
+``Vec2.distance_to(...) <= radius`` evaluates (boundary-exact distances
+included), and results come back ordered by insertion sequence, which
+matches the iteration order of the ``dict``-backed registries the
 brute-force scans walked.  ``tests/test_sim_spatial.py`` pins the
 equivalence with property tests over random snapshots.
+
+Each cell maps its item ids to ``(seq, x, y)`` records, the insertion
+sequence number and the coordinates of the recorded position, so a
+query filters and orders its hits from the records alone, without
+touching a ``Vec2`` or another dict.  Non-finite radii get the
+brute-force answer too: an infinite radius walks every occupied cell
+(every finite position is in range), and a NaN radius, which no
+distance is ``<=``, returns ``[]``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Generic, Hashable, Iterator, List, Set, Tuple, TypeVar
+from typing import Any, Dict, Generic, Hashable, Iterable, Iterator, List, Tuple, TypeVar
 
 from ..errors import SimulationError
 from ..geometry import Vec2
 
 ItemId = TypeVar("ItemId", bound=Hashable)
 _Cell = Tuple[int, int]
+# (insertion sequence number, x, y) of one item's recorded position.
+_Record = Tuple[int, float, float]
+_NO_RECORDS: Dict[Any, _Record] = {}
 
 
 class SpatialGrid(Generic[ItemId]):
@@ -46,10 +58,9 @@ class SpatialGrid(Generic[ItemId]):
         if cell_size_m <= 0:
             raise SimulationError("cell_size_m must be positive")
         self.cell_size_m = cell_size_m
-        self._cells: Dict[_Cell, Set[ItemId]] = {}
+        self._cells: Dict[_Cell, Dict[ItemId, _Record]] = {}
         self._positions: Dict[ItemId, Vec2] = {}
         self._cell_of_item: Dict[ItemId, _Cell] = {}
-        self._seq: Dict[ItemId, int] = {}
         self._next_seq = 0
 
     # -- membership ---------------------------------------------------------
@@ -84,8 +95,8 @@ class SpatialGrid(Generic[ItemId]):
         cell = self._cell_for(position)
         self._positions[item_id] = position
         self._cell_of_item[item_id] = cell
-        self._cells.setdefault(cell, set()).add(item_id)
-        self._seq[item_id] = self._next_seq
+        record = (self._next_seq, position.x, position.y)
+        self._cells.setdefault(cell, {})[item_id] = record
         self._next_seq += 1
 
     def move(self, item_id: ItemId, position: Vec2) -> None:
@@ -95,12 +106,15 @@ class SpatialGrid(Generic[ItemId]):
         old_cell = self._cell_of_item[item_id]
         new_cell = self._cell_for(position)
         self._positions[item_id] = position
-        if new_cell != old_cell:
-            members = self._cells[old_cell]
-            members.discard(item_id)
+        members = self._cells[old_cell]
+        record = (members[item_id][0], position.x, position.y)
+        if new_cell == old_cell:
+            members[item_id] = record
+        else:
+            del members[item_id]
             if not members:
                 del self._cells[old_cell]
-            self._cells.setdefault(new_cell, set()).add(item_id)
+            self._cells.setdefault(new_cell, {})[item_id] = record
             self._cell_of_item[item_id] = new_cell
 
     def move_if_changed(self, item_id: ItemId, position: Vec2) -> bool:
@@ -122,18 +136,16 @@ class SpatialGrid(Generic[ItemId]):
             return
         cell = self._cell_of_item.pop(item_id)
         members = self._cells[cell]
-        members.discard(item_id)
+        del members[item_id]
         if not members:
             del self._cells[cell]
         del self._positions[item_id]
-        del self._seq[item_id]
 
     def clear(self) -> None:
         """Remove every item (sequence numbers keep increasing)."""
         self._cells.clear()
         self._positions.clear()
         self._cell_of_item.clear()
-        self._seq.clear()
 
     # -- queries ------------------------------------------------------------
 
@@ -142,35 +154,44 @@ class SpatialGrid(Generic[ItemId]):
 
         The result is ordered by insertion sequence, i.e. exactly the
         order a brute-force scan over the insertion-ordered registry
-        would produce.  ``radius < 0`` returns an empty list.
+        would produce.  A negative or NaN radius returns an empty list.
         """
-        if radius < 0:
+        if not radius >= 0:
             return []
+        cells = self._cells
+        px = point.x
+        py = point.y
         size = self.cell_size_m
-        cx0 = math.floor((point.x - radius) / size)
-        cx1 = math.floor((point.x + radius) / size)
-        cy0 = math.floor((point.y - radius) / size)
-        cy1 = math.floor((point.y + radius) / size)
-        positions = self._positions
-        seq = self._seq
-        hits: List[Tuple[int, ItemId]] = []
-        span = (cx1 - cx0 + 1) * (cy1 - cy0 + 1)
-        if span <= len(self._cells):
-            for cx in range(cx0, cx1 + 1):
-                for cy in range(cy0, cy1 + 1):
-                    members = self._cells.get((cx, cy))
-                    if not members:
-                        continue
-                    for item_id in members:
-                        if point.distance_to(positions[item_id]) <= radius:
-                            hits.append((seq[item_id], item_id))
+        groups: Iterable[Dict[ItemId, _Record]]
+        try:
+            cx0 = math.floor((px - radius) / size)
+            cx1 = math.floor((px + radius) / size)
+            cy0 = math.floor((py - radius) / size)
+            cy1 = math.floor((py + radius) / size)
+        except (OverflowError, ValueError):
+            # A non-finite bound (an infinite radius, or a point off the
+            # finite plane): the disc's cell span is unbounded.
+            groups = cells.values()
         else:
-            # Query disc spans more cells than exist: walk occupied cells.
-            for (cx, cy), members in self._cells.items():
-                if cx0 <= cx <= cx1 and cy0 <= cy <= cy1:
-                    for item_id in members:
-                        if point.distance_to(positions[item_id]) <= radius:
-                            hits.append((seq[item_id], item_id))
+            if (cx1 - cx0 + 1) * (cy1 - cy0 + 1) <= len(cells):
+                groups = [
+                    cells.get((cx, cy), _NO_RECORDS)
+                    for cx in range(cx0, cx1 + 1)
+                    for cy in range(cy0, cy1 + 1)
+                ]
+            else:
+                # Query disc spans more cells than exist: walk occupied cells.
+                groups = [
+                    members
+                    for (cx, cy), members in cells.items()
+                    if cx0 <= cx <= cx1 and cy0 <= cy <= cy1
+                ]
+        hypot = math.hypot
+        hits: List[Tuple[int, ItemId]] = []
+        for members in groups:
+            for item_id, (seq, x, y) in members.items():
+                if hypot(px - x, py - y) <= radius:
+                    hits.append((seq, item_id))
         hits.sort()
         return [item_id for _seq, item_id in hits]
 

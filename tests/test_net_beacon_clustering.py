@@ -69,6 +69,11 @@ class TestNeighborTable:
         with pytest.raises(ConfigurationError):
             NeighborTable(timeout_s=0.0)
 
+    def test_nan_timeout_rejected(self):
+        # No age is ever greater than NaN, so nothing would ever expire.
+        with pytest.raises(ConfigurationError):
+            NeighborTable(timeout_s=math.nan)
+
 
 class TestBeaconService:
     def test_neighbors_discover_each_other(self):

@@ -23,6 +23,7 @@ from repro.geometry import Vec2
 from repro.mobility import Vehicle
 from repro.net import VehicleNode, WirelessChannel
 from repro.net.clustering import neighbors_within
+from repro.net.messages import hello_message
 from repro.sim import ScenarioConfig, SpatialGrid, World, grid_from_positions
 from repro.sim.config import ChannelConfig
 
@@ -41,7 +42,9 @@ def brute_within(positions, point, radius):
 # positions both occur often instead of almost never.
 coords = st.integers(min_value=-30, max_value=30).map(lambda v: v * 50.0)
 points = st.tuples(coords, coords).map(lambda t: Vec2(*t))
-radii = st.sampled_from([0.0, 50.0, 100.0, 150.0, 300.0, 500.0, 3000.0])
+radii = st.sampled_from(
+    [0.0, -0.0, 50.0, 100.0, 150.0, 300.0, 500.0, 3000.0, math.inf, math.nan]
+)
 
 
 class TestSpatialGridBasics:
@@ -155,6 +158,10 @@ class TestGridEqualsBruteForce:
         positions = {f"n{i}": pos for i, pos in enumerate(items)}
         grid = grid_from_positions(positions, cell)
         assert grid.within(query, radius) == brute_within(positions, query, radius)
+        for position in items[:3]:
+            # Exactly the distance to an item: the inclusive boundary.
+            boundary = query.distance_to(position)
+            assert grid.within(query, boundary) == brute_within(positions, query, boundary)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
@@ -181,6 +188,157 @@ class TestGridEqualsBruteForce:
             query = Vec2(rnd.uniform(-500, 500), rnd.uniform(-500, 500))
             radius = rnd.choice([0.0, 100.0, 250.0, 2000.0])
             assert grid.within(query, radius) == brute_within(positions, query, radius)
+
+
+def assert_records_match(grid, seqs):
+    """Every cell record is ``(seq, x, y)`` of the item's recorded position."""
+    records = {}
+    for cell, members in grid._cells.items():
+        assert members, "an empty cell was kept"
+        for item_id, record in members.items():
+            assert grid._cell_of_item[item_id] == cell
+            records[item_id] = record
+    assert len(records) == len(grid) and set(records) == set(grid.ids())
+    for item_id in grid.ids():
+        position = grid.position_of(item_id)
+        assert grid._cell_for(position) == grid._cell_of_item[item_id]
+        assert records[item_id] == (seqs[item_id], position.x, position.y)
+
+
+#: Operations of the record test: moves stay in a cell or cross cells.
+GRID_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "move", "move_if_changed", "same_object", "remove", "clear"]),
+        st.integers(min_value=0, max_value=7),
+        st.sampled_from([0.0, 1.0, 49.0, 50.0, 51.0, -0.0, -1.0, -50.0, 120.0, 333.0]),
+        st.sampled_from([0.0, 2.5, 49.9, 50.0, -0.0, -75.0, 260.0]),
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
+class TestGridRecords:
+    """Each cell's ``(seq, x, y)`` records stay in step with the positions."""
+
+    @given(ops=GRID_OPS, cell=st.sampled_from([25.0, 50.0, 100.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_records_follow_every_update(self, ops, cell):
+        grid = SpatialGrid(cell_size_m=cell)
+        positions = {}
+        seqs = {}
+        next_seq = 0
+        for op, index, x, y in ops:
+            item_id = f"n{index}"
+            position = Vec2(x, y)
+            if op == "insert" and item_id not in positions:
+                grid.insert(item_id, position)
+                positions[item_id] = position
+                seqs[item_id] = next_seq
+                next_seq += 1
+            elif op == "move" and item_id in positions:
+                grid.move(item_id, position)
+                positions[item_id] = position
+            elif op == "move_if_changed" and item_id in positions:
+                changed = grid.move_if_changed(item_id, position)
+                assert changed == (positions[item_id] != position)
+                positions[item_id] = grid.position_of(item_id)
+            elif op == "same_object" and item_id in positions:
+                stored = grid.position_of(item_id)
+                cell_key = grid._cell_of_item[item_id]
+                record = grid._cells[cell_key][item_id]
+                assert not grid.move_if_changed(item_id, stored)
+                assert grid._cells[cell_key][item_id] is record
+            elif op == "remove":
+                grid.remove(item_id)
+                positions.pop(item_id, None)
+                seqs.pop(item_id, None)
+            elif op == "clear":
+                grid.clear()
+                positions.clear()
+                seqs.clear()
+            assert list(grid.ids()) == list(positions)
+            assert_records_match(grid, seqs)
+            query = Vec2(x * 0.5, y)
+            for radius in (0.0, -0.0, 50.0, math.inf, math.nan):
+                assert grid.within(query, radius) == brute_within(positions, query, radius)
+
+    def test_move_within_a_cell_keeps_sequence(self):
+        grid = SpatialGrid(cell_size_m=100.0)
+        grid.insert("a", Vec2(10.0, 10.0))
+        grid.insert("b", Vec2(20.0, 20.0))
+        grid.move("a", Vec2(30.0, 40.0))
+        assert grid._cells[(0, 0)] == {"a": (0, 30.0, 40.0), "b": (1, 20.0, 20.0)}
+        grid.move("a", Vec2(130.0, 40.0))
+        assert grid._cells == {(0, 0): {"b": (1, 20.0, 20.0)}, (1, 0): {"a": (0, 130.0, 40.0)}}
+        assert grid.within(Vec2(0.0, 0.0), 1000.0) == ["a", "b"]
+
+
+class TestNonFiniteRadius:
+    """Non-finite radii get the brute-force answer, on the grid and the channel."""
+
+    def grid(self):
+        grid = SpatialGrid(cell_size_m=100.0)
+        for index in range(12):
+            grid.insert(f"n{index}", Vec2(index * 250.0 - 1000.0, (index % 3) * 90.0))
+        return grid
+
+    def test_infinite_radius_returns_every_item(self):
+        grid = self.grid()
+        assert grid.within(Vec2(0.0, 0.0), math.inf) == [f"n{i}" for i in range(12)]
+        assert grid.neighbors_of("n3", math.inf) == [f"n{i}" for i in range(12) if i != 3]
+
+    def test_nan_radius_returns_nothing(self):
+        assert self.grid().within(Vec2(0.0, 0.0), math.nan) == []
+
+    def test_infinite_radio_range_reaches_every_node(self):
+        def deliveries(use_index):
+            config = ChannelConfig(base_loss_probability=0.0, loss_per_100m=0.0)
+            world = World(ScenarioConfig(seed=31, channel=config))
+            channel = WirelessChannel(world, use_spatial_index=use_index)
+            nodes = [
+                VehicleNode(
+                    world,
+                    channel,
+                    Vehicle(vehicle_id=f"inf-{use_index}-{i}", position=Vec2(i * 900.0, 0.0)),
+                    radio_range_m=math.inf if i == 0 else 300.0,
+                )
+                for i in range(10)
+            ]
+            sent = nodes[0].broadcast(hello_message(nodes[0].node_id, (0.0, 0.0), 0, 0, 0.0))
+            world.run_for(1.0)
+            return sent, [node.received_count for node in nodes]
+
+        indexed = deliveries(True)
+        assert indexed == deliveries(False)
+        assert indexed == (9, [0] + [1] * 9)
+
+    def test_taps_with_infinite_listen_range(self):
+        class RecordingTap:
+            def __init__(self, x):
+                self.position = Vec2(x, 0.0)
+                self.listen_range_m = math.inf
+                self.frames = []
+
+            def on_frame(self, frame):
+                self.frames.append(frame)
+
+        def heard(use_index):
+            world = World(ScenarioConfig(seed=32))
+            channel = WirelessChannel(world, use_spatial_index=use_index)
+            src = VehicleNode(
+                world,
+                channel,
+                Vehicle(vehicle_id=f"tap-inf-{use_index}", position=Vec2(0, 0)),
+                300.0,
+            )
+            taps = [RecordingTap(i * 5000.0) for i in range(10)]
+            for tap in taps:
+                channel.add_tap(tap)
+            src.broadcast(hello_message(src.node_id, (0, 0), 0, 0, world.now))
+            return [len(tap.frames) for tap in taps]
+
+        assert heard(True) == heard(False) == [1] * 10
 
 
 class TestRewiredCallSitesEquivalence:
@@ -335,8 +493,6 @@ class TestTapIndexEquivalence:
             taps = [RecordingTap(i * 100.0, 250.0 if i % 2 else 150.0) for i in range(12)]
             for tap in taps:
                 channel.add_tap(tap)
-            from repro.net.messages import hello_message
-
             src.broadcast(hello_message(src.node_id, (0, 0), 0, 0, world.now))
             # Move the taps (adversaries ride vehicles) and send again.
             for index, tap in enumerate(taps):
