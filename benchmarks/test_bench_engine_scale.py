@@ -210,6 +210,20 @@ def test_bench_e13_seeded_metrics_identical(
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
+#: The fleets CI replays: the 1000-vehicle brute-force scan takes minutes.
+E13_SMALL_FLEETS = (100, 300)
+
+
+def test_bench_e13_small_fleets_identical(benchmark):
+    """E13a's identity check at 100 and 300 vehicles, writing no result file."""
+    for vehicle_count in E13_SMALL_FLEETS:
+        indexed, _ = _e13_run(vehicle_count, use_index=True)
+        brute, _ = _e13_run(vehicle_count, use_index=False)
+        for field in ("delivered", "lost", "latency", "clusters", "topology"):
+            assert indexed[field] == brute[field], (vehicle_count, field)
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
 def test_bench_e13_wall_clock_curve(e13_sweep, record_table, benchmark):
     """The index must buy >= 5x at 1000 vehicles (acceptance criterion)."""
     rows = []

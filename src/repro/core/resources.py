@@ -34,6 +34,15 @@ class ResourceOffer:
     bandwidth_bps: float
     sensors: FrozenSet[SensorKind] = frozenset()
 
+    def __post_init__(self) -> None:
+        # ``not x >= 0`` rejects NaN too: one NaN offer would make every
+        # capacity sum over the pool NaN.
+        if not self.compute_mips >= 0 or not self.storage_bytes >= 0:
+            raise ResourceError(
+                f"offer from {self.vehicle_id!r} must lend non-negative compute "
+                f"and storage, got {self.compute_mips} MIPS and {self.storage_bytes} bytes"
+            )
+
     @staticmethod
     def from_equipment(
         vehicle_id: str,
@@ -122,18 +131,18 @@ class ResourcePool:
             raise ResourceError(f"no offer from {vehicle_id!r}")
         return state.offer
 
-    def free_mips_of(self, vehicle_ids: Iterable[str]) -> List[float]:
-        """Unreserved compute of each listed member, in the given order.
+    def member_states(self, vehicle_ids: Iterable[str]) -> List[_MemberState]:
+        """Each listed member's live state, in the given order.
 
-        One list for a whole assignment pass; raises for an id with no
-        offer.  Each value is what :meth:`free_mips` returns, computed
-        inline because a property call per member was most of a pass.
+        One read for a whole assignment pass: the pass then takes each
+        member's offer and reserved compute from its state, with no call
+        back into the pool per member.  Raises :class:`ResourceError`
+        for an id with no offer.  The states are the pool's own records,
+        so reservations show up in them at once; read them, and reserve
+        or release only through :meth:`reserve` and :meth:`release`.
         """
         try:
-            return [
-                state.offer.compute_mips - state.reserved_mips
-                for state in map(self._members.__getitem__, vehicle_ids)
-            ]
+            return list(map(self._members.__getitem__, vehicle_ids))
         except KeyError as missing:
             raise ResourceError(f"no offer from {missing.args[0]!r}") from None
 
@@ -181,7 +190,7 @@ class ResourcePool:
         state = self._members.get(vehicle_id)
         if state is None:
             raise ResourceError(f"no offer from {vehicle_id!r}")
-        if mips < 0 or storage_bytes < 0:
+        if not mips >= 0 or not storage_bytes >= 0:  # NaN fails too
             raise ResourceError("reservation amounts must be non-negative")
         if state.free_mips < mips:
             raise ResourceError(

@@ -15,7 +15,8 @@ the group."  Three allocators bracket the design space:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 from ..errors import TaskError
 from ..sim.rng import SeededRng
@@ -23,9 +24,14 @@ from .resources import ResourcePool
 from .tasks import Task
 
 
-@dataclass(frozen=True)
-class WorkerCandidate:
-    """One member considered for an assignment."""
+class WorkerCandidate(NamedTuple):
+    """One member considered for an assignment.
+
+    A :class:`typing.NamedTuple`, so a candidate is a tuple: its fields
+    are read-only, and it equals (and hashes like) any tuple of the same
+    values.  An assignment pass builds one per free worker, and a tuple
+    builds in well under half the time a frozen dataclass takes.
+    """
 
     vehicle_id: str
     free_mips: float
@@ -104,6 +110,13 @@ class RandomAllocator(Allocator):
         return self._choice(task, self.rng.choice(eligible))
 
 
+#: The greedy rank: most free compute, ties to the greater id.
+_BY_FREE_MIPS = attrgetter("free_mips", "vehicle_id")
+#: Rank of the ``(runtime_s, vehicle_id, candidate)`` rows of dwell-safe
+#: candidates: shortest runtime, ties to the smaller id.
+_BY_RUNTIME = itemgetter(0, 1)
+
+
 class GreedyResourceAllocator(Allocator):
     """Most free compute wins; mobility is ignored."""
 
@@ -118,8 +131,7 @@ class GreedyResourceAllocator(Allocator):
         eligible = self._eligible(task, candidates)
         if not eligible:
             return None
-        best = max(eligible, key=lambda c: (c.free_mips, c.vehicle_id))
-        return self._choice(task, best)
+        return self._choice(task, max(eligible, key=_BY_FREE_MIPS))
 
 
 class DwellAwareAllocator(Allocator):
@@ -149,21 +161,21 @@ class DwellAwareAllocator(Allocator):
         eligible = self._eligible(task, candidates)
         if not eligible:
             return None
+        factor = self.safety_factor
+        # One runtime per candidate, for both the dwell gate and the rank.
         safe = [
-            c
+            (runtime_s, c.vehicle_id, c)
             for c in eligible
-            if c.estimated_dwell_s >= task.runtime_on(c.free_mips) * self.safety_factor
+            for runtime_s in (task.runtime_on(c.free_mips),)
+            if c.estimated_dwell_s >= runtime_s * factor
         ]
         if safe:
             # Among safe workers prefer the fastest (shortest runtime).
-            best = min(
-                safe, key=lambda c: (task.runtime_on(c.free_mips), c.vehicle_id)
-            )
-            return self._choice(task, best)
+            runtime_s, _, best = min(safe, key=_BY_RUNTIME)
+            return AllocationChoice(best.vehicle_id, runtime_s, best.estimated_dwell_s)
         if not self.fallback_to_fastest:
             return None
-        best = max(eligible, key=lambda c: (c.free_mips, c.vehicle_id))
-        return self._choice(task, best)
+        return self._choice(task, max(eligible, key=_BY_FREE_MIPS))
 
 
 #: A per-pass gate: ``(task, candidates, worker_ids) -> admitted``.
@@ -211,17 +223,22 @@ def candidates_from_pool(
     ``worker_ids`` are the members eligible for work, in pool order:
     a cloud passes the ids of its
     :meth:`~repro.core.vcloud.VehicularCloud.worker_view`, which already
-    leaves the head out.  ``dwell_lookup`` (vehicle id -> estimated
-    remaining dwell in seconds) is called once for *every* worker, in
-    that order, since a lookup may draw from a seeded stream.  A
-    candidate is built only for a worker with free compute that carries
-    the task's sensors; the rest could never be chosen.  Free compute
-    is read live, so reservations show up at once.
+    leaves the head out.  One scan: a single pool read returns every
+    worker's state (and raises for an id without an offer, before any
+    lookup runs), and each worker's offer and reservation are then read
+    from its state.  ``dwell_lookup`` (vehicle id -> estimated remaining
+    dwell in seconds) is the only call made per worker, once for
+    *every* worker, in that order, since a lookup may draw from a
+    seeded stream.  A candidate is built only for a worker with free
+    compute that carries the task's sensors; the rest could never be
+    chosen.  Free compute is read live, so reservations show up at once.
     """
     required = task.required_sensors
-    candidates: List[WorkerCandidate] = []
-    for vehicle_id, free_mips in zip(worker_ids, pool.free_mips_of(worker_ids)):
-        dwell_s = dwell_lookup(vehicle_id)
-        if free_mips > 0 and required.issubset(pool.offer_of(vehicle_id).sensors):
-            candidates.append(WorkerCandidate(vehicle_id, free_mips, dwell_s))
-    return candidates
+    return [
+        WorkerCandidate(vehicle_id, free_mips, dwell_s)
+        for vehicle_id, state, dwell_s in zip(
+            worker_ids, pool.member_states(worker_ids), map(dwell_lookup, worker_ids)
+        )
+        if (free_mips := state.offer.compute_mips - state.reserved_mips) > 0
+        and (not required or required.issubset(state.offer.sensors))
+    ]

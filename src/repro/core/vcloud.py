@@ -363,9 +363,16 @@ class VehicularCloud:
 
         With an auth protocol configured, the vehicle must mutually
         authenticate with the coordinator first; a failed handshake is a
-        rejected join.  Returns True when admitted.
+        rejected join.  Returns True when admitted.  The offer is
+        resolved first, so one that raises :class:`ResourceError` leaves
+        membership, leases and pool untouched.
         """
         vehicle_id = vehicle.vehicle_id
+        resolved_offer = (
+            offer
+            if offer is not None
+            else ResourceOffer.from_equipment(vehicle_id, vehicle.equipment, lend_fraction)
+        )
         if self.auth_protocol is not None and self.head_id is not None:
             if vehicle_id != self.head_id:
                 result = self.auth_protocol.mutual_authenticate(
@@ -385,11 +392,6 @@ class VehicularCloud:
         self._crashed.discard(vehicle_id)
         if self.leases is not None:
             self.leases.grant(vehicle_id, self.world.now)
-        resolved_offer = (
-            offer
-            if offer is not None
-            else ResourceOffer.from_equipment(vehicle_id, vehicle.equipment, lend_fraction)
-        )
         self.pool.add_offer(resolved_offer)
         if self.storage is not None and vehicle_id not in self.storage.member_ids():
             self.storage.add_store(FileStore(vehicle_id, self._storage_capacity_bytes))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Collection, Deque, Dict, List, Optional
+from typing import Callable, Collection, Deque, Dict, List, Optional, Set
 
 from ..errors import ConfigurationError
 from ..faults.recovery import BackoffPolicy
@@ -218,23 +218,40 @@ class CircuitBreakerBoard:
         breaker = self._breakers.get(worker_id)
         return breaker.allows() if breaker is not None else True
 
-    def ask(self, worker_ids: Collection[str], skip: Optional[Collection[str]] = None) -> None:
-        """Ask the breakers of one assignment pass, busy workers' included.
+    def ask(
+        self, worker_ids: Collection[str], skip: Optional[Collection[str]] = None
+    ) -> Set[str]:
+        """Ask the breakers of one assignment pass; return the barred ids.
 
         The rule: each pass asks once for every worker of the pass's
         view (``worker_ids``) except the ones the task is banned from
         (``skip``).  Only an OPEN breaker can change when asked, so only
-        OPEN ones are visited; afterwards :meth:`allows` on any of them
-        answers without changing state again.
+        OPEN ones are asked; a CLOSED breaker costs one state test.
+
+        Returns the ids, of any breaker on the board, that bar dispatch
+        after the asks: OPEN, or HALF_OPEN with a probe in flight.  Every
+        other id is one whose :meth:`allows` would answer True without
+        changing state, so a gate need only call :meth:`allows` for a
+        barred id; for one outside the view, which was not asked here,
+        that call is its ask.
         """
-        open_ = BreakerState.OPEN  # one enum lookup, not one per breaker
+        closed, open_ = BreakerState.CLOSED, BreakerState.OPEN
+        barred: Set[str] = set()
         for worker_id, breaker in self._breakers.items():
+            state = breaker.state
+            if state is closed:
+                continue
             if (
-                breaker.state is open_
+                state is open_
                 and worker_id in worker_ids
                 and (skip is None or worker_id not in skip)
             ):
                 breaker.allows()
+                state = breaker.state
+            # Only a HALF_OPEN breaker can have a probe in flight.
+            if state is open_ or breaker._probe_inflight:
+                barred.add(worker_id)
+        return barred
 
     def note_dispatch(self, worker_id: str) -> None:
         """Report an assignment to the worker's breaker."""

@@ -440,20 +440,27 @@ class ServiceGateway:
         """Hedge anti-affinity and the breakers, once per assignment pass.
 
         ``worker_ids`` is the pass's view, which on a federation split
-        belongs to another cloud sharing this allocator.  The breakers
-        of the whole view but the banned workers are asked first, as
-        :meth:`CircuitBreakerBoard.ask` describes; then the free
-        candidates that are not banned and whose breakers allow survive.
+        belongs to another cloud sharing this allocator.  First the
+        breakers of the whole view but the banned workers are asked, as
+        :meth:`CircuitBreakerBoard.ask` describes; it returns the ids
+        whose breakers bar dispatch.  A candidate survives when it is
+        not banned and its id is not barred, or is barred but
+        :meth:`CircuitBreakerBoard.allows` it when asked again.  Only a
+        barred id costs that call, and each candidate gets the answer,
+        and makes the state change, that asking ``allows`` for every
+        candidate would: a candidate outside the view, whose OPEN
+        breaker the ask skipped, is asked here.
         """
         banned = self._anti_affinity.get(task.task_id)
         breakers = self.breakers
-        if breakers is not None:
-            breakers.ask(worker_ids, banned)
+        if breakers is None:
+            return [c for c in candidates if banned is None or c.vehicle_id not in banned]
+        barred = breakers.ask(worker_ids, banned)
         return [
             candidate
             for candidate in candidates
             if (banned is None or candidate.vehicle_id not in banned)
-            and (breakers is None or breakers.allows(candidate.vehicle_id))
+            and (candidate.vehicle_id not in barred or breakers.allows(candidate.vehicle_id))
         ]
 
     def _pump(self) -> None:

@@ -184,12 +184,17 @@ class TieredOffloader:
 
     # -- tier selection ------------------------------------------------------
 
+    # A lone tier has nothing to be compared with, so neither pick
+    # computes its estimate; both estimates are pure reads.
+
     def _best_local(self) -> Optional[ExecutionTier]:
         locals_ = self.topology.local_tiers()
         if not locals_:
             return None
         healthy = [tier for tier in locals_ if self.health.healthy(tier)]
         pool = healthy if healthy else locals_
+        if len(pool) == 1:
+            return pool[0]
         return min(pool, key=lambda t: t.queue_delay_estimate(self.world.now))
 
     def _best_remote(self, task: Task) -> Optional[ExecutionTier]:
@@ -198,8 +203,8 @@ class TieredOffloader:
             for tier in self.topology.remote_tiers()
             if self.health.healthy(tier)
         ]
-        if not healthy:
-            return None
+        if len(healthy) <= 1:
+            return healthy[0] if healthy else None
         return min(
             healthy, key=lambda t: t.estimated_completion_s(task, self.world.now)
         )

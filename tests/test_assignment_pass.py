@@ -2,17 +2,23 @@
 
 An assignment pass builds candidates only for the workers that can take
 the task, and asks the circuit breakers once for the pass's whole view.
-The guard below pins that cost.  The state machine runs two identically
-seeded worlds through the same rules: one allocates through the current
-per-pass gates, the other through the per-candidate gate they replaced,
-written out here (one candidate per worker of the view, the gateway's
-old gate on each, then the inner allocator).  Every breaker's history
-and every task's worker sequence must stay equal between the two.
+The guard at the bottom pins that cost.  The state machine runs two
+identically seeded worlds through the same rules: one allocates through
+the current per-pass gates, the other through the per-candidate gate
+they replaced, written out here (one candidate per worker of the view,
+the gateway's old gate on each, then the inner allocator).  Every
+breaker's history and every task's worker sequence must stay equal
+between the two.  Two differential tests on hand-built input follow:
+the gateway's gate against the per-candidate gate, with breakers in
+every state, and the allocators against their ranks written as lambda
+keys.
 """
 
 from __future__ import annotations
 
-from hypothesis import settings
+import math
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -23,10 +29,13 @@ from hypothesis.stateful import (
 )
 
 from repro.core import (
+    AllocationChoice,
     Allocator,
     CheckpointHandoverPolicy,
+    DwellAwareAllocator,
     GreedyResourceAllocator,
     ResourceOffer,
+    ResourcePool,
     Task,
     VehicularCloud,
     WorkerCandidate,
@@ -152,6 +161,13 @@ class PerWorkerPass(Allocator):
 # -- one world ----------------------------------------------------------------
 
 
+def breaker_histories(board):
+    return {
+        worker: (b.state, b.trips, b._reopen_at, b._probe_inflight)
+        for worker, b in board._breakers.items()
+    }
+
+
 class Side:
     """A gateway (breakers and hedging), maybe a DAG scheduler, and a split."""
 
@@ -236,10 +252,7 @@ class Side:
         return None
 
     def breaker_histories(self):
-        return {
-            worker: (b.state, b.trips, b._reopen_at, b._probe_inflight)
-            for worker, b in self.board._breakers.items()
-        }
+        return breaker_histories(self.board)
 
     def busy_workers(self):
         return self.cloud.busy_workers() + self.split.busy_workers()
@@ -408,8 +421,189 @@ TestGatewayPassDifferential = PassDifferential.TestCase
 TestGatewayDagPassDifferential = PassDifferentialWithDag.TestCase
 
 
+# -- the gate on hand-built input ----------------------------------------------
+
+GATE_WORKERS = tuple(f"w{i}" for i in range(6))
+#: How a worker's breaker stands when a pass reaches it: no breaker,
+#: CLOSED, OPEN before or after its cooldown, HALF_OPEN with or without
+#: a probe in flight.
+BREAKER_SETUPS = (
+    "none",
+    "closed",
+    "open_cooling",
+    "open_cooled",
+    "half_open_probing",
+    "half_open_idle",
+)
+
+
+def gate_gateways(setups):
+    """Two breaker gateways on one world whose boards stand identically."""
+    world = World(ScenarioConfig(seed=SEED))
+    gateways = [
+        ServiceGateway(
+            world,
+            VehicularCloud(world, f"gate-vc-{index}"),
+            name=f"gate-{index}",
+            # One board name, so both boards fork the same cooldown streams.
+            breakers=CircuitBreakerBoard(world, "gate"),
+            paced=False,
+        )
+        for index in range(2)
+    ]
+    boards = [gateway.breakers for gateway in gateways]
+    for board in boards:
+        for worker, setup in zip(GATE_WORKERS, setups):
+            if setup != "none":
+                board.breaker_for(worker)
+            if setup in ("open_cooled", "half_open_probing", "half_open_idle"):
+                board.trip(worker, "test")
+    world.run_for(60.0)  # past every first cooldown
+    for board in boards:
+        for worker, setup in zip(GATE_WORKERS, setups):
+            if setup.startswith("half_open"):
+                assert board.allows(worker)
+            if setup == "half_open_probing":
+                board.note_dispatch(worker)
+            if setup == "open_cooling":
+                board.trip(worker, "test")
+    for worker, setup in zip(GATE_WORKERS, setups):
+        breaker = boards[0]._breakers.get(worker)
+        if setup.startswith("open"):
+            assert breaker.state is BreakerState.OPEN
+            assert (breaker.cooldown_remaining_s > 0.0) == (setup == "open_cooling")
+        elif setup.startswith("half_open"):
+            assert breaker.state is BreakerState.HALF_OPEN
+            assert breaker._probe_inflight == (setup == "half_open_probing")
+        elif setup == "closed":
+            assert breaker.state is BreakerState.CLOSED
+    return gateways
+
+
+def per_candidate_pass_gate(gateway, task, candidates, worker_ids):
+    """The gate as one ``allows`` per candidate: the view's workers, as the
+    per-worker pass built them, then the hand-built candidates."""
+    gate = per_candidate_gateway_gate(gateway)
+    for worker in worker_ids:
+        gate(task, WorkerCandidate(worker, 0.0, 0.0))
+    return [candidate for candidate in candidates if gate(task, candidate)]
+
+
+class TestGateOnHandBuiltInput:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        setups=st.lists(
+            st.sampled_from(BREAKER_SETUPS),
+            min_size=len(GATE_WORKERS),
+            max_size=len(GATE_WORKERS),
+        ),
+        view=st.lists(st.sampled_from(GATE_WORKERS), unique=True),
+        banned=st.one_of(st.none(), st.sets(st.sampled_from(GATE_WORKERS))),
+        # Ids outside the view, banned ids, ids without a breaker (a
+        # "none" setup, or not on the board at all) and duplicates.
+        picks=st.lists(st.sampled_from(GATE_WORKERS + ("stranger",)), max_size=10),
+    )
+    def test_barred_set_gate_matches_per_candidate_gate(self, setups, view, banned, picks):
+        new, old = gate_gateways(setups)
+        task = Task(work_mi=100.0)
+        if banned is not None:
+            for gateway in (new, old):
+                gateway._anti_affinity[task.task_id] = set(banned)
+        candidates = [WorkerCandidate(worker, 100.0, 1e9) for worker in picks]
+
+        admitted = new._gate(task, candidates, tuple(view))
+
+        assert admitted == per_candidate_pass_gate(old, task, candidates, tuple(view))
+        assert breaker_histories(new.breakers) == breaker_histories(old.breakers)
+
+
+# -- the allocators' ranks -----------------------------------------------------
+
+
+def lambda_key_choice(task, best):
+    return AllocationChoice(
+        best.vehicle_id, task.runtime_on(best.free_mips), best.estimated_dwell_s
+    )
+
+
+def lambda_key_eligible(candidates):
+    return [c for c in candidates if c.free_mips > 0 and c.has_required_sensors]
+
+
+def lambda_key_greedy(task, candidates):
+    eligible = lambda_key_eligible(candidates)
+    if not eligible:
+        return None
+    return lambda_key_choice(task, max(eligible, key=lambda c: (c.free_mips, c.vehicle_id)))
+
+
+def lambda_key_dwell_aware(task, candidates, safety_factor, fallback_to_fastest):
+    eligible = lambda_key_eligible(candidates)
+    if not eligible:
+        return None
+    safe = [
+        c
+        for c in eligible
+        if c.estimated_dwell_s >= task.runtime_on(c.free_mips) * safety_factor
+    ]
+    if safe:
+        best = min(safe, key=lambda c: (task.runtime_on(c.free_mips), c.vehicle_id))
+        return lambda_key_choice(task, best)
+    if not fallback_to_fastest:
+        return None
+    return lambda_key_choice(task, max(eligible, key=lambda c: (c.free_mips, c.vehicle_id)))
+
+
+RANK_WORK_MI = 1200.0
+#: Ties, zero and negative free compute.
+RANK_FREE_MIPS = st.sampled_from((-50.0, 0.0, 100.0, 150.0, 300.0, 400.0))
+#: Few ids, so candidates tie on id as well.
+RANK_IDS = st.sampled_from(("a", "b", "c", "d"))
+#: A dwell exactly at runtime x factor ("edge", on the safety test's
+#: boundary), NaN, or any other.
+RANK_DWELLS = st.one_of(st.just("edge"), st.just(math.nan), st.floats(0.0, 60.0))
+
+
+class TestAllocatorRanks:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        safety_factor=st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0)),
+        fallback_to_fastest=st.booleans(),
+        rows=st.lists(
+            st.tuples(
+                RANK_IDS, RANK_FREE_MIPS, RANK_DWELLS, st.sampled_from((True, True, True, False))
+            ),
+            max_size=8,
+        ),
+    )
+    def test_allocators_match_their_lambda_keys(self, safety_factor, fallback_to_fastest, rows):
+        task = Task(work_mi=RANK_WORK_MI)
+        candidates = [
+            WorkerCandidate(
+                vehicle_id,
+                free,
+                (task.runtime_on(free) * safety_factor if free > 0 else 0.0)
+                if dwell == "edge"
+                else dwell,
+                sensors,
+            )
+            for vehicle_id, free, dwell, sensors in rows
+        ]
+
+        # repr compares every field and reads a NaN dwell as equal to itself.
+        greedy = GreedyResourceAllocator().choose(task, candidates)
+        assert repr(greedy) == repr(lambda_key_greedy(task, candidates))
+        dwell_aware = DwellAwareAllocator(safety_factor, fallback_to_fastest).choose(
+            task, candidates
+        )
+        assert repr(dwell_aware) == repr(
+            lambda_key_dwell_aware(task, candidates, safety_factor, fallback_to_fastest)
+        )
+
+
 class TestPassCost:
-    def test_a_pass_costs_its_free_workers(self, world, monkeypatch):
+    def build(self, world, free_count):
+        """A 60-worker cloud behind a breaker gateway, ``free_count`` free."""
         workers = 60
         vehicles = StationaryModel(
             world, positions=[Vec2(i * 20.0, 0.0) for i in range(workers + 1)]
@@ -427,30 +621,69 @@ class TestPassCost:
         ServiceGateway(world, cloud, name="cost", breakers=board, hedging=HedgePolicy())
         view = cloud.worker_view().ids
         assert len(view) == workers
-        free = view[workers // 2]
+        free = [view[workers // 2 + i] for i in range(free_count)]
         for worker in view:
             assert board.breaker_for(worker).state is BreakerState.CLOSED
-            if worker != free:
+            if worker not in free:
                 cloud.pool.reserve(worker, cloud.pool.free_mips(worker))
+        return cloud, board, view, free, lookups
 
-        built, asked = [], []
-        init = WorkerCandidate.__init__
+    def count_calls(self, monkeypatch):
+        """Record candidates built, offers read and breakers asked."""
+        calls = {"built": [], "offers": [], "board": [], "breaker": []}
+        new = WorkerCandidate.__new__
+        offer_of = ResourcePool.offer_of
+        board_allows = CircuitBreakerBoard.allows
         allows = CircuitBreaker.allows
 
-        def counting_init(candidate, *args, **kwargs):
-            built.append(args[0] if args else kwargs["vehicle_id"])
-            init(candidate, *args, **kwargs)
+        # A NamedTuple is built by its ``__new__``; it has no ``__init__``.
+        def counting_new(cls, *args, **kwargs):
+            calls["built"].append(args[0] if args else kwargs["vehicle_id"])
+            return new(cls, *args, **kwargs)
+
+        def counting_offer_of(pool, vehicle_id):
+            calls["offers"].append(vehicle_id)
+            return offer_of(pool, vehicle_id)
+
+        def counting_board_allows(board, worker_id):
+            calls["board"].append(worker_id)
+            return board_allows(board, worker_id)
 
         def counting_allows(breaker):
-            asked.append(breaker.name)
+            calls["breaker"].append(breaker.name)
             return allows(breaker)
 
-        monkeypatch.setattr(WorkerCandidate, "__init__", counting_init)
+        monkeypatch.setattr(WorkerCandidate, "__new__", counting_new)
+        monkeypatch.setattr(ResourcePool, "offer_of", counting_offer_of)
+        monkeypatch.setattr(CircuitBreakerBoard, "allows", counting_board_allows)
         monkeypatch.setattr(CircuitBreaker, "allows", counting_allows)
+        return calls
+
+    def test_a_pass_costs_its_free_workers(self, world, monkeypatch):
+        cloud, _, view, (free,), lookups = self.build(world, free_count=1)
+        calls = self.count_calls(monkeypatch)
         lookups.clear()
         record = cloud.submit(Task(work_mi=100.0))
 
         assert record.worker_id == free
-        assert built == [free]
-        assert set(asked) <= {free}
+        assert calls["built"] == [free]
+        assert set(calls["breaker"]) <= {free}
         assert lookups == list(view)
+        assert calls["offers"] == []
+        assert calls["board"] == []
+
+    def test_a_barred_worker_costs_one_gate_call(self, world, monkeypatch):
+        cloud, board, view, free, lookups = self.build(world, free_count=2)
+        # Trip the worker the greedy rank prefers: the greater id.
+        tripped, other = max(free), min(free)
+        board.trip(tripped, "test")
+        assert board.breaker_for(tripped).cooldown_remaining_s > 0.0
+        calls = self.count_calls(monkeypatch)
+        lookups.clear()
+        record = cloud.submit(Task(work_mi=100.0))
+
+        assert record.worker_id == other
+        assert calls["built"] == free
+        assert calls["board"] == [tripped]
+        assert lookups == list(view)
+        assert calls["offers"] == []

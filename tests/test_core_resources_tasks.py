@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,6 +88,40 @@ class TestResourcePool:
         pool.add_offer(offer("a", 1000, storage=100))
         with pytest.raises(ResourceError):
             pool.reserve("a", 0, storage_bytes=200)
+
+    @pytest.mark.parametrize("mips, storage", [(math.nan, 0), (0.0, math.nan)])
+    def test_reserve_rejects_nan_amounts(self, mips, storage):
+        pool = ResourcePool()
+        pool.add_offer(offer("a", 1000))
+        with pytest.raises(ResourceError):
+            pool.reserve("a", mips, storage_bytes=storage)
+        assert pool.free_mips("a") == 1000
+        assert pool.total_free_mips() == 1000
+        assert pool.utilization() == 0.0
+
+    @pytest.mark.parametrize(
+        "mips, storage", [(math.nan, 0), (-1.0, 0), (1000.0, math.nan), (1000.0, -1)]
+    )
+    def test_offer_rejects_nan_or_negative_amounts(self, mips, storage):
+        with pytest.raises(ResourceError):
+            offer("a", mips, storage=storage)
+
+    def test_zero_offer_is_legal(self):
+        pool = ResourcePool()
+        pool.add_offer(offer("a", 0.0, storage=0))
+        assert pool.total_mips() == 0.0
+        assert pool.utilization() == 0.0
+
+    def test_member_states_follow_the_given_order(self):
+        pool = ResourcePool()
+        pool.add_offer(offer("a", 1000))
+        pool.add_offer(offer("b", 2000))
+        pool.reserve("b", 500)
+        states = pool.member_states(["b", "a"])
+        assert [s.offer.vehicle_id for s in states] == ["b", "a"]
+        assert [s.free_mips for s in states] == [1500, 1000]
+        with pytest.raises(ResourceError, match="ghost"):
+            pool.member_states(["a", "ghost"])
 
     def test_members_with_sensor(self):
         pool = ResourcePool()

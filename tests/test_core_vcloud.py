@@ -175,6 +175,22 @@ class TestChurnAndHandover:
         assert cloud.head_id != old_head
 
 
+class TestAdmission:
+    def test_rejected_offer_leaves_the_cloud_untouched(self, world):
+        model, _vehicles, cloud = static_cloud(world, members=2)
+        cloud.enable_worker_leases(lease_duration_s=5.0)
+        (newcomer,) = model.populate(1)
+        members = cloud.membership.member_ids()
+        leases = cloud.leases.held()
+        version = cloud.pool.version
+        with pytest.raises(ResourceError):
+            cloud.admit(newcomer, lend_fraction=0.0)
+        assert cloud.membership.member_ids() == members
+        assert cloud.leases.held() == leases
+        assert newcomer.vehicle_id not in cloud.pool
+        assert cloud.pool.version == version
+
+
 class TestAuthenticatedAdmission:
     def test_enrolled_vehicles_admitted(self, world):
         authority = TrustedAuthority()
