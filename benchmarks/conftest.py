@@ -16,7 +16,21 @@ from typing import Any, Dict, Mapping, Optional
 
 import pytest
 
+from repro.ids import reset_global_ids
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+def pytest_runtest_setup(item):
+    """Rewind every id counter in :mod:`repro.ids` before every experiment.
+
+    Ids break ties and name RNG substreams, so without the rewind an
+    experiment's recorded table would depend on which experiments ran
+    before it in the same process.  The rewind runs ahead of fixture
+    setup, so a module-scoped fixture that builds its worlds for a
+    module's first test starts from fresh ids too.
+    """
+    reset_global_ids()
 
 
 @pytest.fixture

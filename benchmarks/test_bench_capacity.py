@@ -44,7 +44,6 @@ from repro.chaos.invariants import (
 )
 from repro.core import BackoffPolicy, BacklogEstimator, ResourceOffer, VehicularCloud
 from repro.core.handover import DropPolicy
-from repro.core.tasks import reset_task_ids
 from repro.dag import (
     DagScheduler,
     GraphState,
@@ -52,12 +51,11 @@ from repro.dag import (
     ReliabilityEstimator,
     StageSpec,
     TaskGraph,
-    reset_graph_ids,
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.geometry import Vec2
+from repro.ids import reset_global_ids
 from repro.mobility import StationaryModel
-from repro.mobility.vehicle import reset_vehicle_ids
 from repro.serve import BatchingPolicy, ServiceGateway, ServiceRequest
 from repro.sim import ScenarioConfig, World
 
@@ -148,9 +146,7 @@ def _run_capacity_scenario(intensity: float, load: float, config: str, seed: int
     enabling the deadline-hit objective; ``static`` plans from survival
     alone (the pre-fix behavior).
     """
-    reset_task_ids()
-    reset_vehicle_ids()
-    reset_graph_ids()
+    reset_global_ids()
     world = World(ScenarioConfig(seed=seed))
     cloud = _build_cloud(world)
 
@@ -378,9 +374,7 @@ BATCH_HORIZON_S = 80.0
 
 def _run_batching_scenario(batched: bool, seed: int = 1805):
     """A dispatch-slot-starved gateway fed a stream of small requests."""
-    reset_task_ids()
-    reset_vehicle_ids()
-    reset_graph_ids()
+    reset_global_ids()
     world = World(ScenarioConfig(seed=seed))
     model = StationaryModel(
         world, positions=[Vec2(i * 40.0, 0.0) for i in range(BATCH_MEMBERS)]

@@ -35,11 +35,10 @@ from repro.core import (
     ResourceOffer,
     VehicularCloud,
 )
-from repro.core.tasks import reset_task_ids
 from repro.geometry import Vec2
+from repro.ids import reset_global_ids
 from repro.infra import deploy_rsus_on_highway
 from repro.mobility import Highway, HighwayModel, StationaryModel
-from repro.mobility.vehicle import reset_vehicle_ids
 from repro.net import WirelessChannel
 from repro.serve import (
     CircuitBreakerBoard,
@@ -118,8 +117,7 @@ def measure(world: World, gateway: ServiceGateway) -> dict:
 
 
 def run_stationary(load: float, protected: bool, seed: int = SEED) -> dict:
-    reset_task_ids()
-    reset_vehicle_ids()
+    reset_global_ids()
     world = World(ScenarioConfig(seed=seed))
     model = StationaryModel(
         world, positions=[Vec2(i * 40.0, 0.0) for i in range(8)]
@@ -143,8 +141,7 @@ def run_stationary(load: float, protected: bool, seed: int = SEED) -> dict:
 
 
 def run_mobile(architecture: str, load: float, seed: int = SEED, protected: bool = True) -> dict:
-    reset_task_ids()
-    reset_vehicle_ids()
+    reset_global_ids()
     if architecture == "dynamic":
         world = World(ScenarioConfig(seed=seed, vehicle_count=12))
         model = HighwayModel(world, Highway(length_m=3000.0))

@@ -31,13 +31,12 @@ import pytest
 from repro.analysis import render_table
 from repro.chaos.invariants import InvariantSuite, TaskConservation, TierConservation
 from repro.core import ResourceOffer, Task, VehicularCloud
-from repro.core.tasks import reset_task_ids
 from repro.faults.backhaul import BackhaulFaultDriver
 from repro.faults.plan import FaultPlan
 from repro.geometry import Vec2
+from repro.ids import reset_global_ids
 from repro.infra.central_cloud import CentralCloud
 from repro.mobility import StationaryModel
-from repro.mobility.vehicle import reset_vehicle_ids
 from repro.sim import ScenarioConfig, World
 from repro.tier import (
     BackhaulLink,
@@ -92,8 +91,7 @@ def _run_tier_scenario(mode: str, profile_name: str, seed: int = SEED):
     alone (speculation with no local tier degenerates to remote-only).
     """
     profile = PROFILES[profile_name]
-    reset_task_ids()
-    reset_vehicle_ids()
+    reset_global_ids()
     world = World(ScenarioConfig(seed=seed))
 
     model = StationaryModel(

@@ -18,9 +18,9 @@ re-running the whole scenario deterministically for each candidate —
 and packages seed, plan, first violation, minimal fault set and a
 causal-trace excerpt into a :class:`~.bundle.ReproducerBundle`.
 
-Cross-run determinism: task, vehicle, message, graph and RSU ids come
-from process-global counters, so the runner rewinds them before every
-run (:func:`~repro.ids.reset_global_ids`).  Two calls to
+Cross-run determinism: every id comes from the process-global counters
+of :mod:`repro.ids`, so the runner rewinds them all before every run
+(:func:`~repro.ids.reset_global_ids`).  Two calls to
 :meth:`run_seed` with the same arguments are therefore byte-identical
 even within one process — the property replay depends on.
 """

@@ -51,7 +51,7 @@ from .scheduler import (
     WorkerCandidate,
     candidates_from_pool,
 )
-from .tasks import Task, TaskRecord, TaskState, next_task_id
+from .tasks import Task, TaskRecord, TaskState
 from .vcloud import (
     CloudStats,
     CoordinationAdapter,
@@ -135,5 +135,4 @@ __all__ = [
     "WorkerView",
     "candidates_from_pool",
     "dissemination_cost",
-    "next_task_id",
 ]

@@ -23,12 +23,11 @@ from typing import Callable, Dict, List, Optional
 
 from ..errors import MembershipError
 from ..geometry import Vec2
+from ..ids import next_id
 from ..mobility.vehicle import Vehicle
 from ..sim.world import World
 from .election import BrokerCandidate, BrokerElection
 from .vcloud import VehicularCloud
-
-_federated_counter = itertools.count(1)
 
 
 class CloudFederation:
@@ -177,7 +176,7 @@ class CloudFederation:
             return
         new_cloud = VehicularCloud(
             self.world,
-            f"{cloud.cloud_id}-split-{next(_federated_counter)}",
+            f"{cloud.cloud_id}-split-{next_id('federation_split')}",
             allocator=cloud.allocator,
             handover_policy=cloud.handover_policy,
             coordination=cloud.coordination,

@@ -14,19 +14,17 @@ resource of §II.C.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..errors import ResourceError
 from ..geometry import Vec2
+from ..ids import next_id
 from ..mobility.equipment import SensorKind
 from ..mobility.sensors import SensorSuite
 from ..mobility.vehicle import Vehicle
 from ..sim.world import World
 from .aggregation import ResultAggregator
-
-_query_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class SensingQuery:
         if self.min_readings < 1:
             raise ResourceError("min_readings must be >= 1")
         if not self.query_id:
-            object.__setattr__(self, "query_id", f"squery-{next(_query_counter)}")
+            object.__setattr__(self, "query_id", f"squery-{next_id('sensing_query')}")
 
 
 @dataclass(frozen=True)

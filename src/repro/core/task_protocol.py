@@ -18,18 +18,16 @@ protocol would.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import TaskError
 from ..faults.recovery import BackoffPolicy
+from ..ids import next_id
 from ..net.messages import Message, MessageKind
 from ..net.node import NetworkNode
 from ..sim.world import World
 from .tasks import Task
-
-_exchange_counter = itertools.count(1)
 
 
 @dataclass
@@ -154,7 +152,7 @@ class NetworkedTaskExchange:
         """Start one offload exchange to a registered worker."""
         if worker_id not in self._workers:
             raise TaskError(f"worker not registered: {worker_id!r}")
-        exchange_id = f"xchg-{next(_exchange_counter)}"
+        exchange_id = f"xchg-{next_id('exchange')}"
         record = OffloadResult(
             exchange_id=exchange_id, task=task, started_at=self.world.now
         )

@@ -10,31 +10,12 @@ the paper's alternative to "simply dropping unfinished tasks".
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional
 
 from ..errors import TaskError
+from ..ids import next_id
 from ..mobility.equipment import SensorKind
-
-_task_counter = itertools.count(1)
-
-
-def next_task_id() -> str:
-    """Return a fresh process-unique task id."""
-    return f"task-{next(_task_counter)}"
-
-
-def reset_task_ids() -> None:
-    """Rewind the process-global task id counter to ``task-1``.
-
-    Task ids feed sorted orders and RNG fork names, so byte-identical
-    cross-run replay (chaos reproducers, seeded benchmarks) must rewind
-    this counter before building each fresh world.  Never call it while
-    a world that already holds tasks is still in use.
-    """
-    global _task_counter
-    _task_counter = itertools.count(1)
 
 
 class TaskState(enum.Enum):
@@ -59,7 +40,7 @@ class Task:
     deadline_s: Optional[float] = None  # relative to submission
     required_sensors: FrozenSet[SensorKind] = frozenset()
     submitter: str = ""
-    task_id: str = field(default_factory=next_task_id)
+    task_id: str = field(default_factory=lambda: f"task-{next_id('task')}")
 
     def __post_init__(self) -> None:
         if self.work_mi <= 0:

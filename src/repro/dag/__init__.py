@@ -7,15 +7,7 @@ first-result-wins), quorum-checkpointed intermediate outputs, and
 failure-aware re-execution of only the lost frontier.
 """
 
-from .graph import (
-    GraphState,
-    StageSpec,
-    StageStatus,
-    TaskGraph,
-    chain,
-    next_graph_id,
-    reset_graph_ids,
-)
+from .graph import GraphState, StageSpec, StageStatus, TaskGraph, chain
 from .redundancy import RedundancyPlan, RedundancyPlanner, success_probability
 from .reliability import ReliabilityEstimator
 from .scheduler import (
@@ -37,8 +29,6 @@ __all__ = [
     "StageStatus",
     "TaskGraph",
     "chain",
-    "next_graph_id",
-    "reset_graph_ids",
     "RedundancyPlan",
     "RedundancyPlanner",
     "success_probability",

@@ -16,30 +16,12 @@ resources are committed.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
+from ..ids import next_id
 from ..mobility.equipment import SensorKind
-
-_graph_counter = itertools.count(1)
-
-
-def next_graph_id() -> str:
-    """Return a fresh process-unique graph id."""
-    return f"graph-{next(_graph_counter)}"
-
-
-def reset_graph_ids() -> None:
-    """Rewind the process-global graph id counter to ``graph-1``.
-
-    Graph ids feed checkpoint file ids and sorted orders, so seeded
-    replays must rewind this counter alongside the task and vehicle
-    counters (see ``tests/conftest.py``).
-    """
-    global _graph_counter
-    _graph_counter = itertools.count(1)
 
 
 class GraphState(enum.Enum):
@@ -91,7 +73,7 @@ class TaskGraph:
     stages: Tuple[StageSpec, ...]
     deadline_s: Optional[float] = None  # relative to submission
     submitter: str = ""
-    graph_id: str = field(default_factory=next_graph_id)
+    graph_id: str = field(default_factory=lambda: f"graph-{next_id('graph')}")
 
     def __post_init__(self) -> None:
         if not self.stages:

@@ -1,6 +1,6 @@
 """Infrastructure substrate: RSUs, base stations, central cloud, disasters."""
 
-from .base_station import BaseStation, next_base_station_id
+from .base_station import BaseStation
 from .central_cloud import CentralCloud, CloudResponse
 from .damage import DisasterModel
 from .deployment import (
@@ -9,7 +9,7 @@ from .deployment import (
     deploy_rsus_on_grid,
     deploy_rsus_on_highway,
 )
-from .rsu import Rsu, next_rsu_id
+from .rsu import Rsu
 
 __all__ = [
     "BaseStation",
@@ -21,6 +21,4 @@ __all__ = [
     "deploy_base_station",
     "deploy_rsus_on_grid",
     "deploy_rsus_on_highway",
-    "next_base_station_id",
-    "next_rsu_id",
 ]

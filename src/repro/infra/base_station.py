@@ -8,22 +8,15 @@ carrying a cellular radio can use them.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from ..geometry import Vec2
+from ..ids import next_id
 from ..mobility.equipment import RadioKind
 from ..mobility.vehicle import Vehicle
 from ..net.channel import WirelessChannel
 from ..net.node import FixedNode
 from ..sim.world import World
-
-_bs_counter = itertools.count(1)
-
-
-def next_base_station_id() -> str:
-    """Return a fresh process-unique base-station id."""
-    return f"bs-{next(_bs_counter)}"
 
 
 class BaseStation(FixedNode):
@@ -45,7 +38,7 @@ class BaseStation(FixedNode):
         super().__init__(
             world,
             channel,
-            station_id if station_id is not None else next_base_station_id(),
+            station_id if station_id is not None else f"bs-{next_id('base_station')}",
             position,
             range_m,
         )

@@ -8,31 +8,14 @@ an RSU — and by what breaks when :mod:`repro.infra.damage` turns them off.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, List, Optional
 
 from ..geometry import Vec2
+from ..ids import next_id
 from ..net.channel import WirelessChannel
 from ..net.messages import Message
 from ..net.node import FixedNode
 from ..sim.world import World
-
-_rsu_counter = itertools.count(1)
-
-
-def next_rsu_id() -> str:
-    """Return a fresh process-unique RSU id."""
-    return f"rsu-{next(_rsu_counter)}"
-
-
-def reset_rsu_ids() -> None:
-    """Rewind the process-global RSU id counter to ``rsu-1``.
-
-    Companion of :func:`repro.core.tasks.reset_task_ids` for
-    byte-identical cross-run replay; rewind only between fresh worlds.
-    """
-    global _rsu_counter
-    _rsu_counter = itertools.count(1)
 
 
 class Rsu(FixedNode):
@@ -49,9 +32,9 @@ class Rsu(FixedNode):
         range_m = (
             radio_range_m if radio_range_m is not None else world.config.channel.rsu_range_m
         )
-        super().__init__(
-            world, channel, rsu_id if rsu_id is not None else next_rsu_id(), position, range_m
-        )
+        if rsu_id is None:
+            rsu_id = f"rsu-{next_id('rsu')}"
+        super().__init__(world, channel, rsu_id, position, range_m)
         self.backhaul_delay_s = world.config.channel.wired_backhaul_delay_s
         self._backhaul_peers: List["Rsu"] = []
         self.damaged = False

@@ -12,7 +12,7 @@ from .models import (
 from .road import Highway, ManhattanGrid, ParkingLot
 from .sensors import GpsSensor, Radar, RadarContact, SensorReading, SensorSuite, Speedometer
 from .trace import MobilityTrace, TracePoint, TraceRecorder, TraceReplayModel
-from .vehicle import Vehicle, next_vehicle_id
+from .vehicle import Vehicle
 
 __all__ = [
     "AutomationLevel",
@@ -41,6 +41,5 @@ __all__ = [
     "TraceReplayModel",
     "Vehicle",
     "link_lifetime",
-    "next_vehicle_id",
     "zone_residence_time",
 ]

@@ -106,11 +106,11 @@ class OnboardEquipment:
     plugged_in: bool = False
 
     def __post_init__(self) -> None:
-        if self.compute_mips <= 0:
+        if not self.compute_mips > 0:
             raise ConfigurationError("compute_mips must be positive")
         if self.storage_bytes < 0:
             raise ConfigurationError("storage_bytes must be non-negative")
-        if self.bandwidth_bps <= 0:
+        if not self.bandwidth_bps > 0:
             raise ConfigurationError("bandwidth_bps must be positive")
 
     def has_sensor(self, kind: SensorKind) -> bool:

@@ -13,33 +13,13 @@ re-reading the whole fleet before each query.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
 
 from ..geometry import Vec2, heading_difference
+from ..ids import next_id
 from .equipment import AutomationLevel, OnboardEquipment
-
-_vehicle_counter = itertools.count(1)
-
-
-def next_vehicle_id() -> str:
-    """Return a fresh process-unique vehicle id (e.g. ``"veh-7"``)."""
-    return f"veh-{next(_vehicle_counter)}"
-
-
-def reset_vehicle_ids() -> None:
-    """Rewind the process-global vehicle id counter to ``veh-1``.
-
-    Vehicle ids seed per-node RNG forks and sorted member orders, so
-    byte-identical cross-run replay must rewind this counter before each
-    fresh world.  Never call it while an existing world's vehicles are
-    still in use.
-    """
-    global _vehicle_counter
-    _vehicle_counter = itertools.count(1)
-
 
 #: Called with no arguments after each write of ``Vehicle.position``.
 PositionWatcher = Callable[[], None]
@@ -65,7 +45,7 @@ class Vehicle:
     :meth:`watch_position`, in registration order, after the write.
     """
 
-    vehicle_id: str = field(default_factory=next_vehicle_id)
+    vehicle_id: str = field(default_factory=lambda: f"veh-{next_id('vehicle')}")
     position: Vec2 = field(default_factory=lambda: Vec2(0.0, 0.0))
     speed_mps: float = 0.0
     heading_rad: float = 0.0

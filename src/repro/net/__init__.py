@@ -14,7 +14,6 @@ from .messages import (
     SecurityEnvelope,
     data_message,
     hello_message,
-    next_message_id,
 )
 from .node import FixedNode, NetworkNode, VehicleNode
 
@@ -35,5 +34,4 @@ __all__ = [
     "WirelessChannel",
     "data_message",
     "hello_message",
-    "next_message_id",
 ]

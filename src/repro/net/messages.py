@@ -9,30 +9,13 @@ uses, and the thing attacks like MITM silently extend.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
+from ..ids import next_id
 
 BROADCAST = "*"
-
-_message_counter = itertools.count(1)
-
-
-def next_message_id() -> str:
-    """Return a fresh process-unique message id."""
-    return f"msg-{next(_message_counter)}"
-
-
-def reset_message_ids() -> None:
-    """Rewind the process-global message id counter to ``msg-1``.
-
-    Companion of :func:`repro.core.tasks.reset_task_ids` for
-    byte-identical cross-run replay; rewind only between fresh worlds.
-    """
-    global _message_counter
-    _message_counter = itertools.count(1)
 
 
 class MessageKind(enum.Enum):
@@ -76,7 +59,7 @@ class Message:
     size_bytes: int = 200
     created_at: float = 0.0
     ttl_hops: int = 16
-    msg_id: str = field(default_factory=next_message_id)
+    msg_id: str = field(default_factory=lambda: f"msg-{next_id('message')}")
     path: Tuple[str, ...] = ()
     envelope: Optional[SecurityEnvelope] = None
     #: Causal-trace context ``(trace_id, span_id)`` stamped by whoever

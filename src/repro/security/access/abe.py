@@ -17,14 +17,12 @@ generation phase" the survey flags for multi-authority variants.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from ...errors import CryptoError
+from ...ids import next_id
 from ..crypto import CryptoCostModel, CryptoOp, DEFAULT_COSTS
-
-_abe_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ class AbeAuthority:
         # Per-authority master secret: keys from one authority must not
         # open another authority's ciphertexts.
         self._master_secret = hashlib.sha256(
-            f"abe-master:{next(_abe_counter)}".encode()
+            f"abe-master:{next_id('abe')}".encode()
         ).hexdigest()
         self._plaintexts: Dict[str, bytes] = {}
         self.keys_issued = 0
@@ -99,7 +97,7 @@ class AbeAuthority:
             f"{self._master_secret}:{ordered!r}".encode()
         ).hexdigest()
         key = AbeKey(
-            key_id=f"abekey-{next(_abe_counter)}", attributes=ordered, binding=binding
+            key_id=f"abekey-{next_id('abe')}", attributes=ordered, binding=binding
         )
         self.keys_issued += 1
         cost = self.costs.pairing_s * len(ordered)
@@ -117,7 +115,7 @@ class AbeAuthority:
         """Seal ``plaintext`` under ``policy``."""
         if policy.leaves == 0:
             raise CryptoError("ABE policy must have at least one attribute leaf")
-        ciphertext_id = f"abect-{next(_abe_counter)}"
+        ciphertext_id = f"abect-{next_id('abe')}"
         sealed = hashlib.sha256(
             f"{self._master_secret}:{ciphertext_id}".encode() + plaintext
         ).hexdigest()

@@ -20,14 +20,12 @@ can be revoked, and the owner knows which capability it issued to whom.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...errors import AuthorizationError
+from ...ids import next_id
 from ..crypto import CryptoOp, HmacScheme
-
-_capability_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ class AnonymousAccessIssuer:
         """Mint a capability for a lender; only the ledger links them."""
         if ticket_count < 1:
             raise AuthorizationError("ticket_count must be >= 1")
-        capability_id = f"cap-{next(_capability_counter)}"
+        capability_id = f"cap-{next_id('capability')}"
         key = self._ticket_key(capability_id)
         tickets = []
         for index in range(ticket_count):

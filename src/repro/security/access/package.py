@@ -10,18 +10,16 @@ makes tampering with either data or policy detectable.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from ...errors import AuthorizationError, CryptoError
+from ...ids import next_id
 from ..crypto import HmacScheme, serialize_for_signing
 from .audit import AuditLog, AuditRecord
 from .context import AccessContext, AccessRequest
 from .engine import Decision, PolicyDecisionPoint
 from .policy import Policy
-
-_package_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class DataPolicyPackage:
         resource: str = "data",
         seal_key: Optional[bytes] = None,
     ) -> None:
-        self.package_id = f"pkg-{next(_package_counter)}"
+        self.package_id = f"pkg-{next_id('package')}"
         self._data = data
         self.policy = policy
         self.owner = owner  # owner's pseudonym, not real identity

@@ -25,15 +25,13 @@ from __future__ import annotations
 
 import hashlib
 import hmac as hmac_mod
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Generic, Optional, TypeVar
 
 from ..errors import CryptoError
+from ..ids import next_id
 
 T = TypeVar("T")
-
-_key_counter = itertools.count(1)
 
 
 def sha256_hex(data: bytes) -> str:
@@ -95,7 +93,7 @@ class KeyPair:
 
     @staticmethod
     def generate(label: str = "") -> "KeyPair":
-        index = next(_key_counter)
+        index = next_id("key")
         public_id = f"pk-{index}" if not label else f"pk-{label}-{index}"
         private_token = sha256_hex(f"secret:{public_id}".encode())
         return KeyPair(public_id=public_id, private_token=private_token)

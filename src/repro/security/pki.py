@@ -10,11 +10,11 @@ conditional-privacy property: anonymous to peers, accountable to the TA.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import SecurityError
+from ..ids import next_id
 from .crypto import (
     CryptoCostModel,
     DEFAULT_COSTS,
@@ -25,8 +25,6 @@ from .crypto import (
 )
 from .identity import Certificate, Pseudonym, PseudonymPool, RealIdentity
 from .revocation import RevocationList
-
-_pseudonym_counter = itertools.count(1)
 
 
 @dataclass
@@ -109,7 +107,7 @@ class TrustedAuthority:
         return count
 
     def _mint_pseudonym(self, real_id: str, now: float) -> Pseudonym:
-        pseudonym_id = f"pn-{next(_pseudonym_counter)}"
+        pseudonym_id = f"pn-{next_id('pseudonym')}"
         keypair = KeyPair.generate(pseudonym_id)
         certificate = self._issue_certificate(pseudonym_id, keypair.public_id, now)
         self._escrow[pseudonym_id] = real_id

@@ -9,15 +9,13 @@ verification also consults the revocation list.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import SecurityError
+from ..ids import next_id
 from .crypto import CryptoOp, Signature, serialize_for_signing
 from .pki import TrustedAuthority
-
-_token_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,7 @@ class TokenService:
         if self.authority.reveal(pseudonym_id) is None:
             raise SecurityError(f"unknown pseudonym: {pseudonym_id!r}")
         lifetime = lifetime_s if lifetime_s is not None else self.DEFAULT_LIFETIME_S
-        token_id = f"tok-{next(_token_counter)}"
+        token_id = f"tok-{next_id('token')}"
         expires = now + lifetime
         payload = serialize_for_signing(token_id, pseudonym_id, service, now, expires)
         signature = self.authority.signatures.sign(self.authority.keypair, payload).value

@@ -11,14 +11,12 @@ ground truth — experiments use it only to score decisions.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..geometry import Vec2
-
-_report_counter = itertools.count(1)
+from ..ids import next_id
 
 
 class EventKind(enum.Enum):
@@ -53,7 +51,7 @@ class EventReport:
     claim: bool  # "the event is real"
     confidence: float = 0.9
     path: Tuple[str, ...] = ()  # relay provenance
-    report_id: str = field(default_factory=lambda: f"rep-{next(_report_counter)}")
+    report_id: str = field(default_factory=lambda: f"rep-{next_id('trust_report')}")
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.confidence <= 1.0:

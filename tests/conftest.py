@@ -8,16 +8,19 @@ from repro.ids import reset_global_ids
 from repro.sim import ScenarioConfig, SeededRng, World
 
 
-@pytest.fixture(autouse=True)
-def _reset_global_id_counters():
-    """Rewind the process-global id counters before every test.
+def pytest_runtest_setup(item):
+    """Rewind every id counter in :mod:`repro.ids` before every test.
 
-    Task, vehicle, message, graph and RSU ids come from process-global
+    Every id the package mints comes from those process-global
     counters, so a test asserting on concrete ids (``task-1``,
     ``veh-3``, ``graph-1``) or on seeded byte-identical replays would
-    otherwise depend on which tests ran before it.  Centralizing the
-    reset here keeps every test hermetic without each one remembering
-    to do it manually.
+    otherwise depend on which tests ran before it.  The rewind runs
+    ahead of fixture setup, so a module-scoped fixture built for a
+    module's first test starts from fresh ids too.  A rewind makes ids
+    repeat, and with them the ABE master secrets and ``KeyPair`` tokens
+    derived from ids, so it is safe only between worlds: here, before a
+    test builds any.  A test that builds several worlds and compares
+    them rewinds again before each one.
     """
     reset_global_ids()
 

@@ -16,7 +16,6 @@ from repro.mobility import (
     RadioKind,
     SensorKind,
     Vehicle,
-    next_vehicle_id,
 )
 
 
@@ -42,6 +41,12 @@ class TestOnboardEquipment:
     def test_invalid_compute(self):
         with pytest.raises(ConfigurationError):
             OnboardEquipment(compute_mips=0)
+
+    @pytest.mark.parametrize("field_name", ["compute_mips", "bandwidth_bps"])
+    def test_nan_rate_rejected(self, field_name):
+        # NaN passes a ``<= 0`` check; it must not reach broker election.
+        with pytest.raises(ConfigurationError):
+            OnboardEquipment(**{field_name: math.nan})
 
     def test_for_level_scales_compute(self):
         low = OnboardEquipment.for_level(AutomationLevel.DRIVER_ASSISTANCE)
@@ -71,7 +76,7 @@ class TestOnboardEquipment:
 
 class TestVehicle:
     def test_unique_ids(self):
-        assert next_vehicle_id() != next_vehicle_id()
+        assert Vehicle().vehicle_id != Vehicle().vehicle_id
 
     def test_advance_moves_along_heading(self):
         vehicle = Vehicle(position=Vec2(0, 0), speed_mps=10.0, heading_rad=0.0)

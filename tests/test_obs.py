@@ -14,7 +14,6 @@ The load-bearing guarantees under test:
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import pytest
@@ -28,8 +27,8 @@ from repro.core import (
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.geometry import Vec2
+from repro.ids import reset_global_ids
 from repro.mobility import Highway, HighwayModel, StationaryModel
-from repro.mobility import vehicle as vehicle_module
 from repro.net import (
     BeaconService,
     FixedNode,
@@ -593,9 +592,9 @@ class TestStorageSpans:
 
 def seeded_scenario_snapshot(observability: bool):
     """Run one seeded beaconing + v-cloud + faults scene; return the snapshot."""
-    # Vehicle ids seed per-node RNG forks, so rewind the process-global
-    # counter to make back-to-back runs comparable (the E13 pattern).
-    vehicle_module._vehicle_counter = itertools.count(1)
+    # Vehicle ids seed per-node RNG forks, so rewind the id counters to
+    # make back-to-back runs comparable (the E13 pattern).
+    reset_global_ids()
     world = World(ScenarioConfig(seed=4242, vehicle_count=15, error_policy="record"))
     if observability:
         world.enable_observability(profile=True, channel_frames="all")
