@@ -13,8 +13,8 @@ faults fire.
   majority-quorum storage with anti-entropy).  The dependability claim
   (§V.A) is that no run violates any invariant.
 * **E15b** — the same campaign against a deliberately weakened
-  stationary cloud (no leases, no retries, best-effort ``W=R=1``
-  quorum, no hinted handoff).  Runs *must* fail, and every failing
+  stationary cloud (no leases, fixed 1 s assignment retries with no
+  backoff or jitter, best-effort ``W=R=1`` quorum, no hinted handoff).  Runs *must* fail, and every failing
   seed's fault schedule must delta-debug down to ≤3 faults that replay
   the violation deterministically from the recorded seed.
 

@@ -41,6 +41,11 @@ the dependability story on their own.
   (:class:`~repro.chaos.invariants.DagConservation` +
   :class:`~repro.chaos.invariants.TaskConservation`) while the chaos
   schedule is live.
+* **E17d** — DAG jobs offered through the serving gateway
+  (:meth:`~repro.serve.gateway.ServiceGateway.submit_graph`) next to a
+  scalar request stream, under member crashes: every graph the gateway
+  offers is counted completed or failed there, and the scalar stream
+  is served alongside.
 """
 
 from __future__ import annotations
@@ -48,7 +53,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import render_table
-from repro.chaos.invariants import DagConservation, InvariantSuite, TaskConservation
+from repro.chaos.invariants import (
+    DagConservation,
+    InvariantSuite,
+    ServingConservation,
+    TaskConservation,
+)
 from repro.core import (
     BackoffPolicy,
     DynamicVCloud,
@@ -64,11 +74,19 @@ from repro.dag import (
     StageSpec,
     TaskGraph,
     chain,
+    map_reduce_template,
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.geometry import Vec2
 from repro.ids import reset_global_ids
 from repro.mobility import StationaryModel
+from repro.serve import (
+    DeadlineLapseShedder,
+    PoissonArrivals,
+    ServiceGateway,
+    TenantSpec,
+    WorkloadGenerator,
+)
 from repro.sim import ScenarioConfig, World
 
 from helpers import highway_world
@@ -454,4 +472,173 @@ def test_no_invariant_violations_under_chaos(dag_sweep, benchmark):
             row = dag_sweep[intensity][config]
             assert row["invariant_checks"] > 0, (intensity, config)
             assert row["violations"] == 0, (intensity, config)
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+# ---------------------------------------------------------------------------
+# E17d — DAG jobs through the serving gateway
+# ---------------------------------------------------------------------------
+
+GATEWAY_SEED = 1704
+GATEWAY_HORIZON_S = 240.0
+GATEWAY_DRAIN_S = 160.0
+GATEWAY_CRASHES = 4
+GATEWAY_CRASH_WINDOW = (20.0, 200.0)
+
+
+def _run_gateway_dags(seed: int = GATEWAY_SEED):
+    """One gateway serving a scalar tenant and a DAG tenant under crashes.
+
+    The E17a substrate (heterogeneous workers, leases, retry backoff,
+    progress-dropping handover) behind a paced gateway with ``dag=``
+    attached.  The graph tenant's jobs enter through ``submit_graph``
+    and race reliability-planned replicas; their stage outputs stay on
+    the worker that produced them, so a crash can cost re-executed
+    stages.  The scalar tenant's requests queue at the gateway, four
+    dispatches at a time, and compete for the same workers.  Some
+    graphs miss their deadline and some queued requests lapse.
+    """
+    reset_global_ids()
+    world = World(ScenarioConfig(seed=seed))
+    model = StationaryModel(
+        world, positions=[Vec2(i * 40.0, 0.0) for i in range(MEMBERS)]
+    )
+    vehicles = model.populate(MEMBERS)
+    cloud = VehicularCloud(
+        world,
+        "dag-gateway-vc",
+        handover_policy=DropPolicy(),
+        retry_backoff=RECOVERY_BACKOFF,
+    )
+    for index, vehicle in enumerate(vehicles):
+        cloud.admit(
+            vehicle,
+            offer=ResourceOffer(vehicle.vehicle_id, 120.0 + 3.0 * index, 10**9, 1e6),
+        )
+    cloud.enable_worker_leases(lease_duration_s=4.0, sweep_interval_s=1.0)
+    scheduler = DagScheduler(
+        world,
+        cloud,
+        name="gateway-dag",
+        reliability=ReliabilityEstimator(cloud),
+        redundancy=RedundancyPlanner(target_success=0.99, max_replicas=2),
+    )
+    gateway = ServiceGateway(
+        world,
+        cloud,
+        name="e17d",
+        queue_capacity=16,
+        shedders=[DeadlineLapseShedder()],
+        max_dispatch_concurrency=4,
+        dag=scheduler,
+    )
+    tenants = [
+        TenantSpec(
+            name="scalar",
+            arrivals=PoissonArrivals(0.8),
+            work_mi_range=(300.0, 900.0),
+            deadline_s=20.0,
+        ),
+        TenantSpec(
+            name="graphs",
+            arrivals=PoissonArrivals(1 / 20.0),
+            graph=map_reduce_template(
+                MAP_FANOUT, (2400.0, 3600.0), (1600.0, 2400.0), deadline_s=70.0
+            ),
+        ),
+    ]
+    WorkloadGenerator(world, gateway, tenants, horizon_s=GATEWAY_HORIZON_S).start()
+    targets = [m for m in cloud.membership.member_ids() if m != cloud.head_id]
+    plan = FaultPlan(PLAN_SEED).random_crashes(
+        GATEWAY_CRASHES, GATEWAY_CRASH_WINDOW, targets=targets
+    )
+    FaultInjector(world, plan, cloud=cloud).arm()
+    suite = InvariantSuite(
+        [TaskConservation(cloud), DagConservation(scheduler), ServingConservation(gateway)],
+        metrics=world.metrics,
+    )
+    suite.attach(world, check_interval_s=1.0)
+    world.run_for(GATEWAY_HORIZON_S + GATEWAY_DRAIN_S)
+
+    stats = gateway.stats
+    return {
+        "graphs_offered": stats.graphs_offered,
+        "graphs_completed": stats.graphs_completed,
+        "graphs_failed": stats.graphs_failed,
+        "graphs_submitted": scheduler.stats.graphs_submitted,
+        "graph_failure_reasons": dict(scheduler.stats.failure_reasons),
+        "stages_reexecuted": scheduler.stats.stages_reexecuted,
+        "replicas_cancelled": scheduler.stats.replicas_cancelled,
+        "scalar_completed": stats.completed,
+        "scalar_shed": stats.shed,
+        "scalar_failed": stats.failed,
+        "crashes": cloud.stats.worker_crashes,
+        "violations": len(suite.violations),
+        "invariant_checks": suite.checks_run,
+        "counters": sorted(world.metrics.counters.items()),
+    }
+
+
+@pytest.fixture(scope="module")
+def gateway_dags():
+    return _run_gateway_dags()
+
+
+def test_bench_gateway_dag_table(gateway_dags, record_table, record_run_json, benchmark):
+    row = gateway_dags
+    record_run_json(
+        "E17_dag_dependability",
+        "gateway/dag+scalar",
+        {
+            "graphs_offered": row["graphs_offered"],
+            "graphs_completed": row["graphs_completed"],
+            "graphs_failed": row["graphs_failed"],
+            "stages_reexecuted": row["stages_reexecuted"],
+            "replicas_cancelled": row["replicas_cancelled"],
+            "scalar_completed": row["scalar_completed"],
+            "scalar_shed": row["scalar_shed"],
+        },
+        seed=GATEWAY_SEED,
+        config={"crashes": GATEWAY_CRASHES, "tenants": "scalar+graphs"},
+    )
+    table = render_table(
+        [
+            "graphs offered",
+            "graphs completed",
+            "graphs failed",
+            "stages re-run",
+            "replicas cancelled",
+            "scalar completed",
+            "scalar shed",
+        ],
+        [
+            [
+                row["graphs_offered"],
+                row["graphs_completed"],
+                row["graphs_failed"],
+                row["stages_reexecuted"],
+                row["replicas_cancelled"],
+                row["scalar_completed"],
+                row["scalar_shed"],
+            ]
+        ],
+        title=f"E17d — DAG jobs through the serving gateway ({GATEWAY_CRASHES} crashes)",
+    )
+    record_table("E17_dag_dependability", table)
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+def test_gateway_counts_every_offered_graph(gateway_dags, benchmark):
+    """Each graph the gateway offers ends completed or failed there."""
+    row = gateway_dags
+    assert row["crashes"] > 0
+    assert row["graphs_offered"] == row["graphs_submitted"]
+    assert row["graphs_completed"] > 0 and row["graphs_failed"] > 0
+    assert row["graphs_completed"] + row["graphs_failed"] == row["graphs_offered"]
+    assert row["graphs_failed"] == sum(row["graph_failure_reasons"].values())
+    assert row["scalar_completed"] > 0
+    # Crashes re-run stages, replicas lose races and queued requests lapse.
+    assert row["stages_reexecuted"] > 0 and row["replicas_cancelled"] > 0
+    assert row["scalar_shed"] > 0
+    assert row["invariant_checks"] > 0 and row["violations"] == 0
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -15,7 +15,8 @@ offers — lease-based liveness, exponential-backoff retries,
 majority-quorum replicated storage with anti-entropy repair and hinted
 handoff.  ``hardened=False`` builds the deliberately weakened
 configuration the chaos acceptance campaign is meant to break: no
-leases, no retries, best-effort ``W=R=1`` quorum, no hinted handoff.
+leases, fixed 1 s assignment retries with no backoff or jitter,
+best-effort ``W=R=1`` quorum, no hinted handoff.
 The weakened cloud violates :class:`~.invariants.StrandedTasks` (a
 crashed worker's tasks are never recovered) and
 :class:`~.invariants.QuorumSafety` (stale reads / lost updates under
@@ -91,7 +92,12 @@ def harden_cloud(cloud: VehicularCloud) -> None:
 
 
 def weaken_cloud(cloud: VehicularCloud) -> None:
-    """Strip recovery: no leases, no retries, best-effort quorum."""
+    """Strip recovery: no leases, no retry backoff, best-effort quorum.
+
+    Assignment retries stay on: with ``retry_backoff=None`` the cloud
+    retries every ``RETRY_INTERVAL_S`` (1 s), without backoff or jitter,
+    up to its ``max_assignment_retries``.
+    """
     cloud.retry_backoff = None
     cloud.enable_replicated_storage(
         quorum=QuorumConfig(write_quorum=1, read_quorum=1),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional
+from typing import Callable, FrozenSet, List, Optional
 
 from ..errors import TaskError
 from ..ids import next_id
@@ -72,6 +72,10 @@ class TaskRecord:
     reassignments: int = 0
     wasted_work_mi: float = 0.0  # progress discarded by drops
     workers_history: List[str] = field(default_factory=list)
+    #: Called once with ``(record, reason)`` at the terminal outcome.
+    on_finish: Optional[Callable[["TaskRecord", str], None]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def remaining_work_mi(self) -> float:

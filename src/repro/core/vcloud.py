@@ -276,22 +276,10 @@ class VehicularCloud:
         self._storage_capacity_bytes = 0
         #: task_id -> root span of the task's causal trace (traced runs).
         self._task_spans: Dict[str, "Span"] = {}
-        self._finish_listeners: List[Callable[[TaskRecord, str], None]] = []
         self._lease_eviction_listeners: List[Callable[[str], None]] = []
         self.membership.on_leave(self._on_member_left)
 
     # -- lifecycle hooks -----------------------------------------------------------
-
-    def on_task_finished(self, listener: Callable[[TaskRecord, str], None]) -> None:
-        """Register a listener fired at every terminal task outcome.
-
-        The listener receives ``(record, reason)`` where ``reason`` is
-        ``"completed"`` for successes and a typed failure reason
-        (``"deadline"``, ``"retries_exhausted"``, ``"cancelled"``, ...)
-        otherwise.  Serving layers use this to free dispatch slots and
-        feed circuit breakers without polling record states.
-        """
-        self._finish_listeners.append(listener)
 
     def on_lease_eviction(self, listener: Callable[[str], None]) -> None:
         """Register a listener fired when a worker's lease lapses.
@@ -302,10 +290,6 @@ class VehicularCloud:
         """
         self._lease_eviction_listeners.append(listener)
 
-    def _notify_finished(self, record: TaskRecord, reason: str) -> None:
-        for listener in self._finish_listeners:
-            listener(record, reason)
-
     def _fail_record(
         self, record: TaskRecord, reason: str, link_faults: bool = True
     ) -> None:
@@ -314,8 +298,8 @@ class VehicularCloud:
         Every failure path funnels through here so no task can fail
         silently: the reason lands in ``stats.failure_reasons``, the
         metrics registry (``<cloud>/task_failures/<reason>``), the
-        structured event log, the task's trace span, and the finish
-        listeners.
+        structured event log, the task's trace span, and the callback
+        given at submit.
         """
         record.fail()
         self.stats.failed += 1
@@ -326,7 +310,18 @@ class VehicularCloud:
             "task_failed", severity="warning",
             task_id=record.task.task_id, reason=reason,
         )
-        self._notify_finished(record, reason)
+        self._report(record, reason)
+
+    @staticmethod
+    def _report(record: TaskRecord, reason: str) -> None:
+        """Hand a terminal outcome to the submitter's callback, then drop it.
+
+        ``records`` keeps every record for the cloud's lifetime, and a
+        kept callback would keep the submitter's race alive with it.
+        """
+        on_finish, record.on_finish = record.on_finish, None
+        if on_finish is not None:
+            on_finish(record, reason)
 
     # -- observability hooks -------------------------------------------------------
 
@@ -423,8 +418,19 @@ class VehicularCloud:
 
     # -- task lifecycle ------------------------------------------------------------
 
-    def submit(self, task: Task, trace_parent: Optional["Span"] = None) -> TaskRecord:
+    def submit(
+        self,
+        task: Task,
+        trace_parent: Optional["Span"] = None,
+        on_finish: Optional[Callable[[TaskRecord, str], None]] = None,
+    ) -> TaskRecord:
         """Submit a task for execution in this cloud.
+
+        ``on_finish`` is called exactly once, with ``(record, reason)``,
+        when the task ends: ``reason`` is ``"completed"`` or the typed
+        failure reason (``"deadline"``, ``"retries_exhausted"``,
+        ``"cancelled"``, ...).  It may be called before ``submit``
+        returns, when the task fails inside it.
 
         On a traced run the submission roots a new causal trace; every
         assignment, retry, handover and fault the task meets hangs off
@@ -433,7 +439,7 @@ class VehicularCloud:
         instead (the DAG scheduler parents each replica's lifecycle
         under its ``dag.stage`` span).
         """
-        record = TaskRecord(task=task, submitted_at=self.world.now)
+        record = TaskRecord(task=task, submitted_at=self.world.now, on_finish=on_finish)
         self.records.append(record)
         self.stats.submitted += 1
         tracer = self.world.tracer
@@ -580,7 +586,7 @@ class VehicularCloud:
             self._emit(
                 "task_completed", task_id=record.task.task_id, latency_s=latency
             )
-            self._notify_finished(record, "completed")
+            self._report(record, "completed")
 
         self.world.engine.schedule(return_latency, _finish, label="task-result")
 

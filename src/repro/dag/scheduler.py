@@ -90,6 +90,10 @@ class GraphRecord:
     restarts: int = 0
     stages_reexecuted: int = 0
     span: Optional["Span"] = None
+    #: Called once with ``(record, reason)`` at the terminal outcome.
+    on_finish: Optional[Callable[["GraphRecord", str], None]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def completion_latency_s(self) -> Optional[float]:
@@ -215,29 +219,12 @@ class DagScheduler:
             )
         )
         self.records: List[GraphRecord] = []
-        #: live replica task_id -> the race it runs in
+        #: live replica task_id -> the race it runs in, for the sibling gate
         self._replica_index: Dict[str, Race] = {}
-        self._graph_listeners: List[Callable[[GraphRecord, str], None]] = []
         # Sibling replicas must land on distinct workers; the gate keeps
         # the cloud's own allocator ranking for everything it admits.
         cloud.allocator = GatedAllocator(cloud.allocator, self._gate)
-        cloud.on_task_finished(self._on_task_finished)
         cloud.membership.on_leave(self._on_worker_left)
-
-    # -- lifecycle hooks -----------------------------------------------------
-
-    def on_graph_finished(self, listener: Callable[[GraphRecord, str], None]) -> None:
-        """Register a listener fired at every terminal graph outcome.
-
-        Receives ``(record, reason)``: ``"completed"`` on success, the
-        typed failure reason otherwise.  The serving gateway uses this
-        to account DAG jobs without polling.
-        """
-        self._graph_listeners.append(listener)
-
-    def _notify_finished(self, record: GraphRecord, reason: str) -> None:
-        for listener in self._graph_listeners:
-            listener(record, reason)
 
     # -- observability -------------------------------------------------------
 
@@ -251,8 +238,16 @@ class DagScheduler:
 
     # -- submission ----------------------------------------------------------
 
-    def submit(self, graph: TaskGraph) -> GraphRecord:
+    def submit(
+        self,
+        graph: TaskGraph,
+        on_finish: Optional[Callable[[GraphRecord, str], None]] = None,
+    ) -> GraphRecord:
         """Submit a graph for dependable execution.
+
+        ``on_finish`` is called exactly once, with ``(record, reason)``,
+        when the graph ends: ``reason`` is ``"completed"`` or the typed
+        failure reason.  It may be called before ``submit`` returns.
 
         On a traced run the submission roots a ``dag.lifecycle`` trace;
         every stage dispatch, replica, checkpoint and re-execution hangs
@@ -268,6 +263,7 @@ class DagScheduler:
             submitted_at=self.world.now,
             state=GraphState.RUNNING,
             stages={spec.name: _StageRun(spec=spec) for spec in graph.stages},
+            on_finish=on_finish,
         )
         self.records.append(record)
         self.stats.graphs_submitted += 1
@@ -475,7 +471,7 @@ class DagScheduler:
     def _submit_replica(self, race: Race, task: Task, span: Optional["Span"]) -> TaskRecord:
         self._replica_index[task.task_id] = race
         self._metric("replicas_submitted")
-        return self.cloud.submit(task, trace_parent=span)
+        return self.cloud.submit(task, trace_parent=span, on_finish=race.settle)
 
     def _stage_task(
         self, record: GraphRecord, stage: _StageRun, remaining_s: Optional[float]
@@ -491,12 +487,8 @@ class DagScheduler:
 
     # -- replica outcomes ----------------------------------------------------
 
-    def _on_task_finished(self, task_record: TaskRecord, reason: str) -> None:
-        race = self._replica_index.pop(task_record.task.task_id, None)
-        if race is not None:  # else not a DAG replica (direct cloud submission)
-            race.settle(task_record, reason)
-
     def _on_replica_settled(self, replica: TaskRecord, outcome: str, reason: str) -> None:
+        del self._replica_index[replica.task.task_id]
         self._metric("replicas_completed" if reason == "completed" else "replicas_failed")
 
     def _complete_stage(
@@ -663,7 +655,8 @@ class DagScheduler:
             "graph_failed", severity="warning",
             graph_id=record.graph.graph_id, reason=reason,
         )
-        self._notify_finished(record, reason)
+        if record.on_finish is not None:
+            record.on_finish(record, reason)
 
     def _complete_graph(self, record: GraphRecord) -> None:
         record.state = GraphState.COMPLETED
@@ -688,7 +681,8 @@ class DagScheduler:
         self._emit(
             "graph_completed", graph_id=record.graph.graph_id, latency_s=latency
         )
-        self._notify_finished(record, "completed")
+        if record.on_finish is not None:
+            record.on_finish(record, "completed")
 
     # -- failure-aware re-execution ------------------------------------------
 

@@ -37,6 +37,7 @@ race ledger's law over primaries and hedges, while fault campaigns run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -209,8 +210,6 @@ class ServiceGateway:
         self.batching = batching
         self.backlog = backlog
         self.tiering = tiering
-        if tiering is not None:
-            tiering.on_task_resolved(self._on_tier_resolved)
         if backlog is not None:
             # The admission queue is backlog only this gateway knows
             # about; registering it lets the DAG redundancy planner see
@@ -226,19 +225,14 @@ class ServiceGateway:
         )
         self.latency_tracker = LatencyQuantileTracker()
         self._inflight: Dict[str, _Dispatch] = {}  # primary task_id -> dispatch
-        self._attempts: Dict[str, Race] = {}  # live primary/hedge task_id -> race
         self._anti_affinity: Dict[str, set] = {}  # live hedge task_id -> banned workers
         self._tenant_inflight: Dict[str, int] = {}
         self._tick_task: Optional[PeriodicTask] = None
         self.dag = dag
-        self._gateway_graphs: Dict[str, str] = {}  # graph_id -> tenant
-        if dag is not None:
-            if dag.cloud is not cloud:
-                raise ConfigurationError(
-                    "the DAG scheduler must execute on the gateway's cloud"
-                )
-            dag.on_graph_finished(self._on_graph_finish)
-        cloud.on_task_finished(self._on_cloud_finish)
+        if dag is not None and dag.cloud is not cloud:
+            raise ConfigurationError(
+                "the DAG scheduler must execute on the gateway's cloud"
+            )
         if breakers is not None or hedging is not None:
             cloud.allocator = GatedAllocator(cloud.allocator, self._gate)
         if breakers is not None:
@@ -351,14 +345,9 @@ class ServiceGateway:
             )
         self.stats.graphs_offered += 1
         self.world.metrics.increment(f"serve/{self.name}/graphs_offered")
-        record = self.dag.submit(graph)
-        self._gateway_graphs[graph.graph_id] = tenant
-        return record
+        return self.dag.submit(graph, on_finish=functools.partial(self._on_graph_finish, tenant))
 
-    def _on_graph_finish(self, record: GraphRecord, reason: str) -> None:
-        tenant = self._gateway_graphs.pop(record.graph.graph_id, None)
-        if tenant is None:
-            return  # not a gateway graph (direct scheduler submission)
+    def _on_graph_finish(self, tenant: str, record: GraphRecord, reason: str) -> None:
         if reason == "completed":
             self.stats.graphs_completed += 1
             self.world.metrics.increment(f"serve/{self.name}/graphs_completed")
@@ -563,9 +552,8 @@ class ServiceGateway:
                 # hand it the remaining budget so queue wait still counts.
                 remaining = max(request.arrived_at + deadline - self.world.now, 1e-6)
                 task = dataclasses.replace(task, deadline_s=remaining)
-        # Registered before submission: a tiered dispatch may resolve
-        # synchronously (e.g. no tier at all), and the resolution must
-        # find the dispatch in flight.
+        # Registered before submission: a dispatch may end inside it
+        # (e.g. no tier at all), and its cleanup must find it in flight.
         dispatch = _Dispatch(
             request=request, dispatched_at=self.world.now,
             task_id=task.task_id, members=members,
@@ -581,7 +569,8 @@ class ServiceGateway:
             # local execution with failover.
             policy = "speculate" if task.deadline_s is not None else "prefer_local"
             self.world.metrics.increment(f"serve/{self.name}/tiered/{policy}")
-            self.tiering.submit(task, policy=policy)
+            on_resolved = functools.partial(self._on_tier_resolved, dispatch)
+            self.tiering.submit(task, policy=policy, on_resolved=on_resolved)
             self._update_gauges()
             return
         dispatch.race = Race(self.stats.races, dispatch)
@@ -604,14 +593,10 @@ class ServiceGateway:
 
     def _launch(self, race: Race, task: Task) -> TaskRecord:
         """Submit one primary or hedge attempt to the cloud."""
-        self._attempts[task.task_id] = race
-        race.launch([(self.cloud, lambda: self.cloud.submit(task))])
+        race.launch([(self.cloud, lambda: self.cloud.submit(task, on_finish=race.settle))])
         return race.handles[-1]
 
-    def _on_tier_resolved(self, spec: "SpeculativeTask", reason: str) -> None:
-        dispatch = self._inflight.get(spec.task.task_id)
-        if dispatch is None:
-            return  # not a gateway submission (direct offloader use)
+    def _on_tier_resolved(self, dispatch: _Dispatch, spec: "SpeculativeTask", reason: str) -> None:
         if reason == "completed":
             self._finalize_success(dispatch, spec.race.winner.record)
         else:
@@ -663,11 +648,6 @@ class ServiceGateway:
             )
 
     # -- terminal outcomes ---------------------------------------------------
-
-    def _on_cloud_finish(self, record: TaskRecord, reason: str) -> None:
-        race = self._attempts.pop(record.task.task_id, None)
-        if race is not None:  # else not a gateway task (direct cloud submission)
-            race.settle(record, reason)
 
     def _on_attempt_settled(self, record: TaskRecord, outcome: str, reason: str) -> None:
         self._anti_affinity.pop(record.task.task_id, None)

@@ -59,8 +59,8 @@ NO_REMOTE_SLACK = "no_remote_slack"
 #: Terminal reason when no tier at all could take the task.
 NO_TIER_AVAILABLE = "no_tier_available"
 
-#: Listener fired once per task with ``(spec, reason)``.
-ResolveListener = Callable[["SpeculativeTask", str], None]
+#: Called once per task with ``(spec, reason)`` at resolution.
+ResolveCallback = Callable[["SpeculativeTask", str], None]
 
 
 @dataclass
@@ -77,6 +77,7 @@ class SpeculativeTask:
     #: Degradation ledgered at submit (``backhaul_degraded`` / ``no_remote_slack``).
     degraded: Optional[str] = None
     span: Optional[object] = None
+    on_resolved: Optional[ResolveCallback] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -135,23 +136,23 @@ class TieredOffloader:
                 on_settled=self._on_attempt_settled,
             )
         )
-        self._resolve_listeners: List[ResolveListener] = []
-
-    # -- listener wiring -----------------------------------------------------
-
-    def on_task_resolved(self, listener: ResolveListener) -> None:
-        """Register a listener fired once per task at resolution.
-
-        ``reason`` is ``"completed"`` when some attempt won, else the
-        typed failure reason of the last replica standing.  The serving
-        gateway uses this to settle its dispatch bookkeeping.
-        """
-        self._resolve_listeners.append(listener)
 
     # -- submission ----------------------------------------------------------
 
-    def submit(self, task: Task, policy: str = "prefer_local") -> SpeculativeTask:
-        """Submit one task under ``policy``; returns its live spec."""
+    def submit(
+        self,
+        task: Task,
+        policy: str = "prefer_local",
+        on_resolved: Optional[ResolveCallback] = None,
+    ) -> SpeculativeTask:
+        """Submit one task under ``policy``; returns its live spec.
+
+        ``on_resolved`` is called exactly once, with ``(spec, reason)``,
+        when the task resolves: ``reason`` is ``"completed"`` when some
+        attempt won, else the typed failure reason of the last attempt
+        standing (``"no_tier_available"`` when none launched).  It may be
+        called before ``submit`` returns.
+        """
         if policy not in POLICIES:
             raise ConfigurationError(
                 f"unknown policy {policy!r}, expected one of {POLICIES}"
@@ -161,7 +162,8 @@ class TieredOffloader:
             now + task.deadline_s if task.deadline_s is not None else None
         )
         spec = SpeculativeTask(
-            task=task, policy=policy, submitted_at=now, deadline_at=deadline_at
+            task=task, policy=policy, submitted_at=now, deadline_at=deadline_at,
+            on_resolved=on_resolved,
         )
         spec.race = Race(self.stats.races, spec)
         self.stats.submitted += 1
@@ -322,8 +324,8 @@ class TieredOffloader:
             winner=winner.tier_name,
             latency_s=round(now - spec.submitted_at, 6),
         )
-        for listener in self._resolve_listeners:
-            listener(spec, "completed")
+        if spec.on_resolved is not None:
+            spec.on_resolved(spec, "completed")
 
     def _fail(self, spec: SpeculativeTask, last_failure: Optional[str]) -> None:
         """Every attempt failed; the reason of the last one standing is the task's."""
@@ -344,8 +346,8 @@ class TieredOffloader:
             "task_failed", severity="warning",
             task_id=spec.task.task_id, reason=reason,
         )
-        for listener in self._resolve_listeners:
-            listener(spec, reason)
+        if spec.on_resolved is not None:
+            spec.on_resolved(spec, reason)
 
     def _end_attempt_span(
         self, attempt: TierAttempt, status: str, **attrs: object

@@ -35,6 +35,7 @@ second winner).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
@@ -232,9 +233,6 @@ class VCloudTier(_LinkedTier):
         super().__init__(world, name, level, link)
         self.cloud = cloud
         self.estimator = BacklogEstimator(cloud)
-        #: Live attempts keyed by their replica task id.
-        self._attempts: Dict[str, TierAttempt] = {}
-        cloud.on_task_finished(self._on_cloud_finish)
 
     def reachable(self) -> bool:
         if not super().reachable():
@@ -268,14 +266,10 @@ class VCloudTier(_LinkedTier):
             self._finish(attempt, "deadline")
             return
         replica = self._replica_of(attempt.task, remaining)
-        record = self.cloud.submit(replica, trace_parent=attempt.span)
-        attempt.record = record
-        self._attempts[replica.task_id] = attempt
+        on_finish = functools.partial(self._on_replica_finish, attempt)
+        attempt.record = self.cloud.submit(replica, trace_parent=attempt.span, on_finish=on_finish)
 
-    def _on_cloud_finish(self, record: TaskRecord, reason: str) -> None:
-        attempt = self._attempts.pop(record.task.task_id, None)
-        if attempt is None:
-            return  # not one of ours (the cloud serves other submitters too)
+    def _on_replica_finish(self, attempt: TierAttempt, record: TaskRecord, reason: str) -> None:
         if reason == "completed":
             self._send_down(attempt)
         else:
@@ -290,7 +284,7 @@ class VCloudTier(_LinkedTier):
             self._finish(attempt, reason)
             return True
         # Routes through the cloud's typed-cancel path; on success the
-        # finish listener fires synchronously and terminates the attempt.
+        # replica's callback fires synchronously and terminates the attempt.
         return self.cloud.cancel(attempt.record, reason)
 
 

@@ -335,8 +335,10 @@ class TestDagSchedulerHappyPath:
         _v, cloud = build_cloud(world)
         scheduler = dependable_scheduler(world, cloud)
         outcomes = []
-        scheduler.on_graph_finished(lambda r, reason: outcomes.append(reason))
-        scheduler.submit(chain([200.0], deadline_s=60.0))
+        scheduler.submit(
+            chain([200.0], deadline_s=60.0),
+            on_finish=lambda r, reason: outcomes.append(reason),
+        )
         world.run_for(60.0)
         assert outcomes == ["completed"]
 
@@ -612,9 +614,7 @@ class TestDagConservationInvariant:
             redundancy=RedundancyPlanner(target_success=0.99, max_replicas=3),
             checkpointing=True,
         )
-        if on_finished is not None:
-            scheduler.on_graph_finished(on_finished)
-        scheduler.submit(chain([1000.0], deadline_s=120.0))
+        scheduler.submit(chain([1000.0], deadline_s=120.0), on_finish=on_finished)
         return scheduler
 
     def test_flags_a_corrupted_replica_ledger(self, world):
@@ -666,6 +666,23 @@ class TestServeIntegration:
         assert stats.graphs_offered == scheduler.stats.graphs_submitted
         assert stats.graphs_completed + stats.graphs_failed == stats.graphs_offered
         assert stats.graphs_completed > 0
+
+    def test_graph_failed_inside_dag_submit_is_counted(self, world):
+        from repro.serve import ServiceGateway
+
+        # No members and no retry budget: the only replica fails inside
+        # cloud.submit, so the graph fails stage_exhausted inside submit.
+        cloud = VehicularCloud(world, "dag-empty", max_assignment_retries=0)
+        gateway = ServiceGateway(
+            world, cloud, dag=DagScheduler(world, cloud, max_stage_attempts=1)
+        )
+        record = gateway.submit_graph(chain([100.0]), tenant="analytics")
+        assert record.failure_reason == "stage_exhausted"
+        world.run_for(5.0)
+        stats = gateway.stats
+        assert stats.graphs_failed == 1
+        assert stats.graphs_completed + stats.graphs_failed == stats.graphs_offered
+        assert world.metrics.counter("serve/gateway/graphs_failed/stage_exhausted") == 1.0
 
     def test_gateway_without_dag_rejects_graphs(self, world):
         from repro.serve import ServiceGateway

@@ -484,15 +484,18 @@ class TestGatewayWiring:
     def test_finish_listener_fires_for_success_and_failure(self):
         world, _v, cloud = build_cloud()
         seen = []
-        cloud.on_task_finished(lambda record, reason: seen.append(reason))
-        cloud.submit(Task(work_mi=100.0))
+
+        def note(record, reason):
+            seen.append(reason)
+
+        cloud.submit(Task(work_mi=100.0), on_finish=note)
         world.run_until(5.0)
         assert seen == ["completed"]
         # Saturate every worker with long tasks, then a short-deadline
         # arrival starves in the retry loop and fails typed "deadline".
         for _ in range(10):
-            cloud.submit(Task(work_mi=5000.0))
-        cloud.submit(Task(work_mi=100.0, deadline_s=0.5))
+            cloud.submit(Task(work_mi=5000.0), on_finish=note)
+        cloud.submit(Task(work_mi=100.0, deadline_s=0.5), on_finish=note)
         world.run_until(30.0)
         assert "deadline" in seen
         assert cloud.stats.failure_reasons.get("deadline") == 1

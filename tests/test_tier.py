@@ -808,17 +808,31 @@ class TestTierConservationInvariant:
         monkeypatch.setattr(Race, "_cancel_live", lambda race: None)
         b = build_tiered()
         seen = []
-        b.offloader.on_task_resolved(
-            lambda spec, reason: seen.extend(
-                TierConservation(b.offloader).check(b.world.now)
-            )
-        )
         spec = b.offloader.submit(
-            Task(work_mi=100.0, deadline_s=10.0), policy="speculate"
+            Task(work_mi=100.0, deadline_s=10.0),
+            policy="speculate",
+            on_resolved=lambda spec, reason: seen.extend(
+                TierConservation(b.offloader).check(b.world.now)
+            ),
         )
         b.world.run_until(10.0)
         assert len(spec.race.handles) == 2
         assert any("never asked to cancel" in v.message for v in seen)
+
+    def test_replica_failed_inside_cloud_submit_settles(self, world):
+        # No members and no retry budget: the local replica fails
+        # retries_exhausted inside cloud.submit, before submit returns.
+        cloud = VehicularCloud(world, "tier-empty", max_assignment_retries=0)
+        topology = TierTopology()
+        topology.register(VCloudTier(world, "local", "local", cloud))
+        offloader = TieredOffloader(world, topology, name="t")
+        spec = offloader.submit(Task(work_mi=100.0), policy="local_only")
+        world.run_until(5.0)
+        assert spec.race.decided
+        assert offloader.stats.failed == 1
+        assert offloader.stats.failure_reasons == {"retries_exhausted": 1}
+        assert offloader.accounting()["live"] == 0
+        assert_conserved(offloader, world.now)
 
     def test_detects_a_leaked_winner(self):
         b = build_tiered()
