@@ -56,9 +56,9 @@ def _run_offload_config(
     for index in range(TASK_COUNT):
         submitted_at = index * 0.5
 
-        def _submit(at=submitted_at, idx=index):
+        def _submit(at=submitted_at):
             datacenter.submit(
-                f"task-{idx}", WORK_MI, lambda response, t0=at: completed.append(world.now - t0)
+                WORK_MI, lambda request, reason, t0=at: completed.append(world.now - t0)
             )
 
         world.engine.schedule_at(submitted_at, _submit, label="offload")

@@ -56,6 +56,17 @@ class Task:
             raise TaskError("mips must be positive")
         return self.work_mi / mips
 
+    def replica(self, deadline_s: Optional[float]) -> "Task":
+        """The same work under a fresh id, with its own relative deadline."""
+        return Task(
+            work_mi=self.work_mi,
+            input_bytes=self.input_bytes,
+            output_bytes=self.output_bytes,
+            deadline_s=deadline_s,
+            required_sensors=self.required_sensors,
+            submitter=self.submitter,
+        )
+
 
 @dataclass
 class TaskRecord:

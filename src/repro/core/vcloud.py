@@ -212,6 +212,12 @@ class WorkerView:
             head_id=head_id,
         )
 
+    def runtime_s(self, work_mi: float) -> float:
+        """Runtime of ``work_mi`` on a mean worker (inf with no capacity)."""
+        if not self.ids or self.capacity_mips <= 0:
+            return float("inf")
+        return work_mi / (self.capacity_mips / len(self.ids))
+
 
 @dataclass
 class _Execution:
@@ -992,14 +998,6 @@ class VehicularCloud:
                 self.member_leave(member_id)
 
     # -- introspection -------------------------------------------------------------
-
-    def running_tasks(self) -> List[TaskRecord]:
-        """Records currently assigned or running."""
-        return [
-            r
-            for r in self.records
-            if r.state in (TaskState.ASSIGNED, TaskState.RUNNING)
-        ]
 
     def member_count(self) -> int:
         """Current member count."""

@@ -115,10 +115,6 @@ class GraphRecord:
             return None
         return self.submitted_at + self.graph.deadline_s
 
-    def stage_statuses(self) -> Dict[str, str]:
-        """Stage name -> status value (introspection/debugging)."""
-        return {name: run.status.value for name, run in self.stages.items()}
-
 
 @dataclass
 class DagStats:
@@ -732,10 +728,6 @@ class DagScheduler:
                 self._dispatch_ready(record)
 
     # -- introspection -------------------------------------------------------
-
-    def running_graphs(self) -> List[GraphRecord]:
-        """Records currently executing."""
-        return [r for r in self.records if r.state is GraphState.RUNNING]
 
     def accounting(self) -> Dict[str, int]:
         """Graph/replica conservation counters, surfaced for invariants.

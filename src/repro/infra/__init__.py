@@ -1,7 +1,7 @@
 """Infrastructure substrate: RSUs, base stations, central cloud, disasters."""
 
 from .base_station import BaseStation
-from .central_cloud import CentralCloud, CloudResponse
+from .central_cloud import CentralCloud, CloudRequest
 from .damage import DisasterModel
 from .deployment import (
     coverage_fraction,
@@ -14,7 +14,7 @@ from .rsu import Rsu
 __all__ = [
     "BaseStation",
     "CentralCloud",
-    "CloudResponse",
+    "CloudRequest",
     "DisasterModel",
     "Rsu",
     "coverage_fraction",

@@ -6,45 +6,46 @@ the upstream the infrastructure-based v-cloud offloads to, and as the
 reach it through an RSU or base station, pay WAN latency both ways, and
 are processed with ample-but-not-infinite capacity.
 
-Failures are typed and ledgered (``failure_reasons``), mirroring the
-:class:`~repro.core.vcloud.VehicularCloud` contract: a cancelled or
-deadline-lapsed request lands in the ledger instead of vanishing, so
-tier-level conservation checks can reconcile remote work exactly.  The
-queue is no longer opaque — :meth:`queue_delay_estimate` exposes the
-standing delay a new arrival would face, which the tier health tracker
-and :class:`~repro.core.capacity.BacklogEstimator` consumers read
-instead of guessing from response latencies.
+It keeps the :class:`~repro.core.vcloud.VehicularCloud` executor
+contract: :meth:`CentralCloud.submit` returns the request's record and
+calls the ``on_finish`` given with it exactly once, with
+``"completed"`` or the typed reason :meth:`CentralCloud.cancel` was
+given.  A cancelled request lands in the failure ledger
+(``failure_reasons``) instead of vanishing, so tier-level conservation
+checks can reconcile remote work exactly.  The queue is not opaque —
+:meth:`queue_delay_estimate` exposes the standing delay a new arrival
+would face, which the tier health tracker and
+:class:`~repro.core.capacity.BacklogEstimator` consumers read instead of
+guessing from response latencies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+import functools
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Set
 
 from ..errors import ConfigurationError
 from ..sim.engine import EventHandle
 from ..sim.world import World
 
 
-@dataclass(frozen=True)
-class CloudResponse:
-    """Result of a central-cloud request."""
+@dataclass(eq=False)
+class CloudRequest:
+    """One accepted request, from :meth:`CentralCloud.submit` to its outcome."""
 
-    request_id: str
-    completed_at: float
-    queue_delay_s: float
-    processing_s: float
-
-
-@dataclass
-class _PendingRequest:
-    """One accepted request awaiting its response callback."""
-
-    request_id: str
     work_mi: float
+    #: Wait behind earlier work once the uplink has delivered the request.
+    queue_delay_s: float
+    #: When processing ends; the response then pays the downlink.
     finish_at: float
-    response_handle: EventHandle
-    on_failure: Optional[Callable[[str], None]] = None
+    #: Set when the response fires; None while pending or once cancelled.
+    completed_at: Optional[float] = None
+    #: Called once with ``(request, reason)`` at the terminal outcome.
+    on_finish: Optional[Callable[["CloudRequest", str], None]] = field(
+        default=None, repr=False
+    )
+    response_handle: EventHandle = field(init=False, repr=False)
 
 
 class CentralCloud:
@@ -70,85 +71,70 @@ class CentralCloud:
         #: Terminal failures broken down by typed reason (``cancelled``,
         #: ``speculation_cancelled``, ...), mirroring ``CloudStats``.
         self.failure_reasons: Dict[str, int] = {}
-        self._pending: Dict[str, _PendingRequest] = {}
+        self._pending: Set[CloudRequest] = set()
 
     def submit(
         self,
-        request_id: str,
         work_mi: float,
-        on_complete: Callable[[CloudResponse], None],
-        on_failure: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        """Process ``work_mi`` million instructions; respond via callback.
+        on_finish: Optional[Callable[[CloudRequest, str], None]] = None,
+    ) -> CloudRequest:
+        """Process ``work_mi`` million instructions; returns the request.
 
-        The response callback fires after uplink WAN delay, queueing,
-        processing, and downlink WAN delay.  ``on_failure`` (optional)
-        receives the typed reason if the request is cancelled before
-        its response fires.
+        The response fires after uplink WAN delay, queueing, processing,
+        and downlink WAN delay.  ``on_finish`` is called exactly once,
+        with ``(request, reason)``: ``"completed"`` when the response
+        fires, or the reason the request was cancelled with.
         """
         if work_mi < 0:
             raise ConfigurationError("work_mi must be non-negative")
         arrival = self.world.now + self.wan_delay_s
         start = max(arrival, self._busy_until)
-        processing = work_mi / self.compute_mips
-        finish = start + processing
+        finish = start + work_mi / self.compute_mips
         self._busy_until = finish
-        queue_delay = start - arrival
-        respond_at = finish + self.wan_delay_s
         self.world.metrics.increment("central_cloud/requests")
-
-        def _respond() -> None:
-            self._pending.pop(request_id, None)
-            self.requests_served += 1
-            on_complete(
-                CloudResponse(
-                    request_id=request_id,
-                    completed_at=self.world.now,
-                    queue_delay_s=queue_delay,
-                    processing_s=processing,
-                )
-            )
-
-        handle = self.world.engine.schedule_at(
-            respond_at, _respond, label="cloud-response"
+        request = CloudRequest(work_mi, start - arrival, finish, on_finish=on_finish)
+        request.response_handle = self.world.engine.schedule_at(
+            finish + self.wan_delay_s,
+            functools.partial(self._respond, request),
+            label="cloud-response",
         )
-        self._pending[request_id] = _PendingRequest(
-            request_id=request_id,
-            work_mi=work_mi,
-            finish_at=finish,
-            response_handle=handle,
-            on_failure=on_failure,
-        )
+        self._pending.add(request)
+        return request
 
-    def cancel(self, request_id: str, reason: str = "cancelled") -> bool:
+    def _respond(self, request: CloudRequest) -> None:
+        self._pending.remove(request)
+        self.requests_served += 1
+        request.completed_at = self.world.now
+        if request.on_finish is not None:
+            request.on_finish(request, "completed")
+
+    def cancel(self, request: CloudRequest, reason: str = "cancelled") -> bool:
         """Cancel an accepted request before its response fires.
 
         The cancellation is a terminal, typed failure: it lands in
         ``failure_reasons`` and the metrics ledger, and the request's
-        ``on_failure`` callback (when given) is invoked with the reason
-        — the same contract :meth:`~repro.core.vcloud.VehicularCloud.cancel`
-        gives speculative replicas.  Returns False when the request is
-        unknown or already responded.  Reserved processing time is
-        reclaimed when the job had not started yet.
+        ``on_finish`` is called with the reason — the same contract
+        :meth:`~repro.core.vcloud.VehicularCloud.cancel` gives
+        speculative replicas.  Returns False when the request is not
+        pending here (already responded, cancelled, or another cloud's).
+        Reserved processing time is reclaimed when the job had not
+        started yet.
         """
-        pending = self._pending.pop(request_id, None)
-        if pending is None:
+        if request not in self._pending:
             return False
-        pending.response_handle.cancel()
+        self._pending.remove(request)
+        request.response_handle.cancel()
         # Reclaim the queue slot if processing had not begun; work
         # already underway (or done, awaiting the downlink) is sunk.
-        start = pending.finish_at - pending.work_mi / self.compute_mips
-        if start >= self.world.now and pending.finish_at >= self._busy_until:
+        start = request.finish_at - request.work_mi / self.compute_mips
+        if start >= self.world.now and request.finish_at >= self._busy_until:
             self._busy_until = max(self.world.now, start)
-        self._fail(pending, reason)
-        return True
-
-    def _fail(self, pending: _PendingRequest, reason: str) -> None:
         self.requests_failed += 1
         self.failure_reasons[reason] = self.failure_reasons.get(reason, 0) + 1
         self.world.metrics.increment(f"central_cloud/failures/{reason}")
-        if pending.on_failure is not None:
-            pending.on_failure(reason)
+        if request.on_finish is not None:
+            request.on_finish(request, reason)
+        return True
 
     @property
     def backlog_s(self) -> float:
@@ -160,8 +146,8 @@ class CentralCloud:
 
         The WAN transit absorbs ``wan_delay_s`` of the backlog before
         the request arrives, so the estimate is the backlog in excess of
-        the uplink — exactly the ``queue_delay_s`` the eventual
-        :class:`CloudResponse` would report.  Tier health trackers and
+        the uplink — exactly the ``queue_delay_s`` the request's
+        :class:`CloudRequest` would record.  Tier health trackers and
         backlog estimators read this instead of inferring load from
         response latencies.
         """

@@ -113,11 +113,6 @@ class ServeStats:
             return 0.0
         return (self.slo_misses + self.failed + self.shed) / terminal
 
-    @property
-    def goodput_completions(self) -> int:
-        """Completions that met their SLO (the goodput numerator)."""
-        return self.slo_hits
-
     def p99_latency_s(self) -> float:
         """99th percentile end-to-end latency (0 when empty)."""
         if not self.latencies_s:
@@ -138,7 +133,6 @@ class _Dispatch:
     """
 
     request: ServiceRequest
-    dispatched_at: float
     task_id: str
     members: List[ServiceRequest]
     hedge_check: Optional[EventHandle] = None
@@ -186,9 +180,7 @@ class ServiceGateway:
                     "offloader dispatches tasks individually"
                 )
             locals_ = [
-                tier
-                for tier in tiering.topology.local_tiers()
-                if getattr(tier, "cloud", None) is cloud
+                tier for tier in tiering.topology.local_tiers() if tier.cloud is cloud
             ]
             if not locals_:
                 raise ConfigurationError(
@@ -288,13 +280,7 @@ class ServiceGateway:
 
     def estimated_runtime_s(self, work_mi: float) -> float:
         """Expected runtime of one task on a typical worker."""
-        view = self.cloud.worker_view()
-        if not view.ids:
-            return float("inf")
-        per_worker = view.capacity_mips / len(view.ids)
-        if per_worker <= 0:
-            return float("inf")
-        return work_mi / per_worker
+        return self.cloud.worker_view().runtime_s(work_mi)
 
     def estimated_queue_delay_s(self) -> float:
         """Standing delay implied by the queued work backlog."""
@@ -554,10 +540,7 @@ class ServiceGateway:
                 task = dataclasses.replace(task, deadline_s=remaining)
         # Registered before submission: a dispatch may end inside it
         # (e.g. no tier at all), and its cleanup must find it in flight.
-        dispatch = _Dispatch(
-            request=request, dispatched_at=self.world.now,
-            task_id=task.task_id, members=members,
-        )
+        dispatch = _Dispatch(request=request, task_id=task.task_id, members=members)
         self._inflight[task.task_id] = dispatch
         for member in members:
             self._tenant_inflight[member.tenant] = (
@@ -598,7 +581,9 @@ class ServiceGateway:
 
     def _on_tier_resolved(self, dispatch: _Dispatch, spec: "SpeculativeTask", reason: str) -> None:
         if reason == "completed":
-            self._finalize_success(dispatch, spec.race.winner.record)
+            # A datacenter win has no v-cloud worker for the breakers to credit.
+            record = spec.race.winner.record
+            self._finalize_success(dispatch, record if isinstance(record, TaskRecord) else None)
         else:
             self._finalize_failure(dispatch, reason)
 
@@ -626,13 +611,8 @@ class ServiceGateway:
         primary_worker = dispatch.race.handles[0].worker_id
         if primary_worker is None or len(self.cloud.worker_view().ids) < 2:
             return
-        hedge_task = Task(
-            work_mi=request.task.work_mi,
-            input_bytes=request.task.input_bytes,
-            output_bytes=request.task.output_bytes,
-            deadline_s=max(remaining, 1e-6) if remaining is not None else None,
-            required_sensors=request.task.required_sensors,
-            submitter=request.tenant,
+        hedge_task = request.task.replica(
+            max(remaining, 1e-6) if remaining is not None else None
         )
         # Anti-affinity: the hedge must land on a *different* worker.
         self._anti_affinity[hedge_task.task_id] = {primary_worker}

@@ -6,8 +6,9 @@ conventional central cloud, composed into one hierarchy (ROADMAP
 item 3):
 
 * :mod:`.topology` — :class:`TierTopology` registers the existing
-  layers as execution tiers (``local`` / ``edge`` / ``cloud``) behind a
-  uniform dispatch/cancel contract;
+  layers as execution tiers (``local`` / ``edge`` / ``cloud``); one
+  :class:`ExecutionTier` base owns every attempt's dispatch, result and
+  cancel path, and each tier adds only its estimates and its executor;
 * :mod:`.backhaul` — :class:`BackhaulLink`, the seeded WAN model
   (latency, jitter, loss, outage windows) in front of remote tiers,
   drivable from :class:`~repro.faults.plan.FaultPlan` specs via

@@ -9,22 +9,26 @@ dispatch contract, so the :class:`~repro.tier.offloader.TieredOffloader`
 can speculate across them without knowing which concrete engine sits
 underneath.
 
-Two adapters cover every layer we have:
+Both executors keep one contract: ``submit`` returns a record and calls
+the ``on_finish`` given with it once with ``(record, reason)``, and
+``cancel(record, reason)`` ends the work as a typed failure.  So one
+base, :class:`ExecutionTier`, owns every attempt's path.  Each dispatch
+produces a :class:`TierAttempt` that moves through uplink → execution →
+downlink and terminates with exactly one typed reason (``completed``,
+``speculation_cancelled``, ``backhaul_lost``, ``deadline``, ...),
+reported through a single ``on_finish`` callback.  A subclass supplies
+its estimates and ``_start``, which submits the work once the uplink
+delivers:
 
 * :class:`VCloudTier` wraps a :class:`~repro.core.vcloud.VehicularCloud`
   — the local dynamic/parking micro-cloud, or an RSU-anchored edge
-  cloud when placed behind a :class:`~repro.tier.backhaul.BackhaulLink`;
+  cloud when placed behind a :class:`~repro.tier.backhaul.BackhaulLink`.
+  It submits a *fresh replica task* with the deadline shrunk by the
+  elapsed transit — the same fresh-task-per-replica idiom the DAG
+  scheduler and gateway hedging use, so replica ids never collide and
+  per-cloud conservation stays exact;
 * :class:`CentralCloudTier` wraps the datacenter endpoint, always
   behind a backhaul link.
-
-Each dispatch produces a :class:`TierAttempt` that moves through
-uplink → execution → downlink and terminates with exactly one typed
-reason (``completed``, ``speculation_cancelled``, ``backhaul_lost``,
-``deadline``, ...), reported through a single ``on_finish`` callback.
-Remote attempts build a *fresh replica task* after the uplink delivers,
-with the deadline shrunk by the elapsed transit — the same
-fresh-task-per-replica idiom the DAG scheduler and gateway hedging use,
-so replica ids never collide and per-cloud conservation stays exact.
 
 Cancellation mirrors the v-cloud contract: ``cancel`` returns False
 when the attempt is already terminal or its result frame is in flight
@@ -37,13 +41,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Protocol, Union
 
 from ..core.capacity import BacklogEstimator
 from ..core.tasks import Task, TaskRecord
 from ..core.vcloud import VehicularCloud
 from ..errors import ConfigurationError
-from ..infra.central_cloud import CentralCloud, CloudResponse
+from ..infra.central_cloud import CentralCloud, CloudRequest
 from ..sim.world import World
 from .backhaul import BackhaulLink
 
@@ -61,24 +65,35 @@ BACKHAUL_LOST = "backhaul_lost"
 #: Callback fired exactly once per attempt with its terminal reason.
 AttemptFinish = Callable[["TierAttempt", str], None]
 
+#: What an executor's ``submit`` returns for one unit of work.
+ExecutorRecord = Union[TaskRecord, CloudRequest]
+#: The callback an executor calls once with ``(record, reason)``.
+ExecutorFinish = Callable[[Any, str], None]
+
+
+class Executor(Protocol):
+    """What a tier runs its work on: a v-cloud or the datacenter."""
+
+    def cancel(self, record: Any, reason: str) -> bool:
+        """Typed cancel of the record ``submit`` returned."""
+
 
 @dataclass
 class TierAttempt:
     """One speculative replica of a task on one tier."""
 
     tier_name: str
-    level: str
     task: Task
     deadline_at: Optional[float]
-    dispatched_at: float
     #: Set when the offloader asked for cancellation; a flagged attempt
     #: can still complete late if its result frame was already in flight.
     cancelled: bool = False
     terminal_reason: Optional[str] = None
-    #: The local execution record (v-cloud tiers only, post-uplink).
-    record: Optional[TaskRecord] = None
+    #: The executor's record of the work (a v-cloud tier's replica
+    #: ``TaskRecord``, the datacenter's ``CloudRequest``); None while
+    #: the request is on the uplink.
+    record: Optional[ExecutorRecord] = None
     span: Optional["Span"] = None
-    meta: Dict[str, object] = field(default_factory=dict)
     _on_finish: Optional[AttemptFinish] = field(default=None, repr=False)
 
     @property
@@ -87,15 +102,29 @@ class TierAttempt:
 
 
 class ExecutionTier:
-    """Uniform dispatch contract one level of the hierarchy implements."""
+    """One level of the hierarchy: an executor, maybe behind a backhaul.
 
-    name: str
-    level: str
-    link: Optional[BackhaulLink]
+    The base owns the whole attempt path: uplink, residual-deadline
+    check, the executor's callback, downlink, termination and cancel.
+    """
+
+    cloud: Executor
+
+    def __init__(
+        self, world: World, name: str, level: str, link: Optional[BackhaulLink]
+    ) -> None:
+        if level not in TIER_LEVELS:
+            raise ConfigurationError(
+                f"unknown tier level {level!r}, expected one of {TIER_LEVELS}"
+            )
+        self.world = world
+        self.name = name
+        self.level = level
+        self.link = link
 
     def reachable(self) -> bool:
         """Whether dispatches can reach the tier right now."""
-        raise NotImplementedError
+        return self.link is None or self.link.available()
 
     def queue_delay_estimate(self, now: float) -> float:
         """Standing queueing delay a new dispatch would face."""
@@ -113,6 +142,16 @@ class ExecutionTier:
             total += self.link.latency_estimate_s(task.output_bytes)
         return total
 
+    def _start(
+        self, attempt: TierAttempt, remaining_s: Optional[float], on_finish: ExecutorFinish
+    ) -> ExecutorRecord:
+        """Submit the attempt's work to the executor; returns its record.
+
+        ``remaining_s`` is the deadline left once the uplink delivered
+        (None without one); the executor reports to ``on_finish``.
+        """
+        raise NotImplementedError
+
     def dispatch(
         self,
         task: Task,
@@ -121,49 +160,38 @@ class ExecutionTier:
         span: Optional["Span"] = None,
     ) -> TierAttempt:
         """Launch one replica; ``on_finish`` fires exactly once."""
-        raise NotImplementedError
-
-    def cancel(self, attempt: TierAttempt, reason: str = SPECULATION_CANCELLED) -> bool:
-        """Cancel a live attempt; False when its result is already in flight."""
-        raise NotImplementedError
-
-
-class _LinkedTier(ExecutionTier):
-    """Shared uplink/downlink plumbing for tiers behind a backhaul."""
-
-    def __init__(
-        self, world: World, name: str, level: str, link: Optional[BackhaulLink]
-    ) -> None:
-        if level not in TIER_LEVELS:
-            raise ConfigurationError(
-                f"unknown tier level {level!r}, expected one of {TIER_LEVELS}"
+        attempt = TierAttempt(self.name, task, deadline_at, span=span, _on_finish=on_finish)
+        if self.link is None:
+            self._submit(attempt)
+        else:
+            self.link.transmit(
+                task.input_bytes,
+                deliver=lambda: self._submit(attempt),
+                on_lost=lambda _reason: self._finish(attempt, BACKHAUL_LOST),
             )
-        self.world = world
-        self.name = name
-        self.level = level
-        self.link = link
+        return attempt
 
-    def reachable(self) -> bool:
-        return self.link is None or self.link.available()
+    def _submit(self, attempt: TierAttempt) -> None:
+        """The request has arrived: hand it to the executor unless stale."""
+        if attempt.terminal:
+            return  # cancelled on the uplink
+        remaining = None if attempt.deadline_at is None else attempt.deadline_at - self.world.now
+        if remaining is not None and remaining <= 0:
+            self._finish(attempt, "deadline")
+            return
+        on_finish = functools.partial(self._on_executed, attempt)
+        attempt.record = self._start(attempt, remaining, on_finish)
 
-    def _new_attempt(
-        self,
-        task: Task,
-        deadline_at: Optional[float],
-        on_finish: AttemptFinish,
-        span: Optional["Span"] = None,
-    ) -> TierAttempt:
-        return TierAttempt(
-            tier_name=self.name,
-            level=self.level,
-            task=task,
-            deadline_at=deadline_at,
-            dispatched_at=self.world.now,
-            span=span,
-            _on_finish=on_finish,
+    def _on_executed(self, attempt: TierAttempt, _record: object, reason: str) -> None:
+        """The executor's outcome: send a result down, else end the attempt."""
+        if reason != "completed" or self.link is None:
+            self._finish(attempt, reason)
+            return
+        self.link.transmit(
+            attempt.task.output_bytes,
+            deliver=lambda: self._finish(attempt, "completed"),
+            on_lost=lambda _reason: self._finish(attempt, BACKHAUL_LOST),
         )
-
-    # -- attempt termination -------------------------------------------------
 
     def _finish(self, attempt: TierAttempt, reason: str) -> None:
         """Terminate an attempt exactly once (later outcomes are dropped)."""
@@ -173,54 +201,24 @@ class _LinkedTier(ExecutionTier):
         if attempt._on_finish is not None:
             attempt._on_finish(attempt, reason)
 
-    def _send_up(self, attempt: TierAttempt, submit: Callable[[], None]) -> None:
-        """Route the request over the link (if any) to ``submit``."""
-        if self.link is None:
-            submit()
-            return
-
-        def _deliver() -> None:
-            if not attempt.terminal:
-                submit()
-
-        self.link.transmit(
-            attempt.task.input_bytes,
-            deliver=_deliver,
-            on_lost=lambda _reason: self._finish(attempt, BACKHAUL_LOST),
-        )
-
-    def _send_down(self, attempt: TierAttempt) -> None:
-        """Route a completed result back over the link (if any)."""
-        if self.link is None:
-            self._finish(attempt, "completed")
-            return
-        self.link.transmit(
-            attempt.task.output_bytes,
-            deliver=lambda: self._finish(attempt, "completed"),
-            on_lost=lambda _reason: self._finish(attempt, BACKHAUL_LOST),
-        )
-
-    @staticmethod
-    def _remaining_s(attempt: TierAttempt, now: float) -> Optional[float]:
-        if attempt.deadline_at is None:
-            return None
-        return attempt.deadline_at - now
-
-    @staticmethod
-    def _replica_of(task: Task, deadline_s: Optional[float]) -> Task:
-        """Fresh task (fresh id) carrying the residual deadline."""
-        return Task(
-            work_mi=task.work_mi,
-            input_bytes=task.input_bytes,
-            output_bytes=task.output_bytes,
-            deadline_s=deadline_s,
-            required_sensors=task.required_sensors,
-            submitter=task.submitter,
-        )
+    def cancel(self, attempt: TierAttempt, reason: str = SPECULATION_CANCELLED) -> bool:
+        """Cancel a live attempt; False when its result is already in flight."""
+        if attempt.terminal:
+            return False
+        attempt.cancelled = True
+        if attempt.record is None:
+            # Request still on the uplink; it is dropped on arrival.
+            self._finish(attempt, reason)
+            return True
+        # Routes through the executor's typed-cancel path; on success
+        # its callback fires synchronously and terminates the attempt.
+        return self.cloud.cancel(attempt.record, reason)
 
 
-class VCloudTier(_LinkedTier):
+class VCloudTier(ExecutionTier):
     """A vehicular cloud (dynamic, parking, or RSU-anchored edge) as a tier."""
+
+    cloud: VehicularCloud
 
     def __init__(
         self,
@@ -235,61 +233,25 @@ class VCloudTier(_LinkedTier):
         self.estimator = BacklogEstimator(cloud)
 
     def reachable(self) -> bool:
-        if not super().reachable():
-            return False
-        return len(self.cloud.worker_view().ids) > 0
+        return super().reachable() and len(self.cloud.worker_view().ids) > 0
 
     def queue_delay_estimate(self, now: float) -> float:
         return self.estimator.queue_delay_s(now)
 
     def estimated_runtime_s(self, work_mi: float) -> float:
-        view = self.cloud.worker_view()
-        workers, capacity = view.ids, view.capacity_mips
-        if not workers or capacity <= 0:
-            return float("inf")
-        return work_mi / (capacity / len(workers))
+        return self.cloud.worker_view().runtime_s(work_mi)
 
-    def dispatch(
-        self,
-        task: Task,
-        deadline_at: Optional[float],
-        on_finish: AttemptFinish,
-        span: Optional["Span"] = None,
-    ) -> TierAttempt:
-        attempt = self._new_attempt(task, deadline_at, on_finish, span)
-        self._send_up(attempt, lambda: self._submit(attempt))
-        return attempt
-
-    def _submit(self, attempt: TierAttempt) -> None:
-        remaining = self._remaining_s(attempt, self.world.now)
-        if remaining is not None and remaining <= 0:
-            self._finish(attempt, "deadline")
-            return
-        replica = self._replica_of(attempt.task, remaining)
-        on_finish = functools.partial(self._on_replica_finish, attempt)
-        attempt.record = self.cloud.submit(replica, trace_parent=attempt.span, on_finish=on_finish)
-
-    def _on_replica_finish(self, attempt: TierAttempt, record: TaskRecord, reason: str) -> None:
-        if reason == "completed":
-            self._send_down(attempt)
-        else:
-            self._finish(attempt, reason)
-
-    def cancel(self, attempt: TierAttempt, reason: str = SPECULATION_CANCELLED) -> bool:
-        if attempt.terminal:
-            return False
-        attempt.cancelled = True
-        if attempt.record is None:
-            # Request still on the uplink; kill it before it lands.
-            self._finish(attempt, reason)
-            return True
-        # Routes through the cloud's typed-cancel path; on success the
-        # replica's callback fires synchronously and terminates the attempt.
-        return self.cloud.cancel(attempt.record, reason)
+    def _start(
+        self, attempt: TierAttempt, remaining_s: Optional[float], on_finish: ExecutorFinish
+    ) -> TaskRecord:
+        replica = attempt.task.replica(remaining_s)
+        return self.cloud.submit(replica, trace_parent=attempt.span, on_finish=on_finish)
 
 
-class CentralCloudTier(_LinkedTier):
+class CentralCloudTier(ExecutionTier):
     """The conventional datacenter endpoint as the ``cloud`` tier."""
+
+    cloud: CentralCloud
 
     def __init__(
         self,
@@ -301,7 +263,6 @@ class CentralCloudTier(_LinkedTier):
     ) -> None:
         super().__init__(world, name, level, link)
         self.cloud = cloud
-        self._request_seq = 0
 
     def queue_delay_estimate(self, now: float) -> float:
         return self.cloud.queue_delay_estimate()
@@ -309,51 +270,10 @@ class CentralCloudTier(_LinkedTier):
     def estimated_runtime_s(self, work_mi: float) -> float:
         return work_mi / self.cloud.compute_mips
 
-    def dispatch(
-        self,
-        task: Task,
-        deadline_at: Optional[float],
-        on_finish: AttemptFinish,
-        span: Optional["Span"] = None,
-    ) -> TierAttempt:
-        attempt = self._new_attempt(task, deadline_at, on_finish, span)
-        self._request_seq += 1
-        request_id = f"{self.name}:{task.task_id}:{self._request_seq}"
-        attempt.meta["request_id"] = request_id
-        self._send_up(attempt, lambda: self._submit(attempt, request_id))
-        return attempt
-
-    def _submit(self, attempt: TierAttempt, request_id: str) -> None:
-        remaining = self._remaining_s(attempt, self.world.now)
-        if remaining is not None and remaining <= 0:
-            self._finish(attempt, "deadline")
-            return
-        attempt.meta["submitted"] = True
-
-        def _on_complete(_response: CloudResponse) -> None:
-            if not attempt.terminal:
-                self._send_down(attempt)
-
-        def _on_failure(reason: str) -> None:
-            self._finish(attempt, reason)
-
-        self.cloud.submit(
-            request_id,
-            attempt.task.work_mi,
-            on_complete=_on_complete,
-            on_failure=_on_failure,
-        )
-
-    def cancel(self, attempt: TierAttempt, reason: str = SPECULATION_CANCELLED) -> bool:
-        if attempt.terminal:
-            return False
-        attempt.cancelled = True
-        if not attempt.meta.get("submitted"):
-            # Request still on the uplink; it is dropped on arrival.
-            self._finish(attempt, reason)
-            return True
-        request_id = str(attempt.meta["request_id"])
-        return self.cloud.cancel(request_id, reason)
+    def _start(
+        self, attempt: TierAttempt, remaining_s: Optional[float], on_finish: ExecutorFinish
+    ) -> CloudRequest:
+        return self.cloud.submit(attempt.task.work_mi, on_finish=on_finish)
 
 
 class TierTopology:
@@ -364,11 +284,7 @@ class TierTopology:
         self._order: List[str] = []
 
     def register(self, tier: ExecutionTier) -> ExecutionTier:
-        """Add a tier; names must be unique, levels must be known."""
-        if tier.level not in TIER_LEVELS:
-            raise ConfigurationError(
-                f"unknown tier level {tier.level!r}, expected one of {TIER_LEVELS}"
-            )
+        """Add a tier; names must be unique (its constructor checked the level)."""
         if tier.name in self._tiers:
             raise ConfigurationError(f"tier {tier.name!r} already registered")
         self._tiers[tier.name] = tier

@@ -98,7 +98,7 @@ class TestCentralCloud:
     def test_request_completes_after_wan_delay(self, world):
         cloud = CentralCloud(world, compute_mips=1000.0, wan_delay_s=0.1)
         responses = []
-        cloud.submit("r1", work_mi=100.0, on_complete=responses.append)
+        cloud.submit(work_mi=100.0, on_finish=lambda request, _reason: responses.append(request))
         world.run_for(0.05)
         assert responses == []
         world.run_for(1.0)
@@ -112,14 +112,16 @@ class TestCentralCloud:
         cloud = CentralCloud(world, compute_mips=100.0, wan_delay_s=0.0)
         responses = []
         for index in range(3):
-            cloud.submit(f"r{index}", work_mi=100.0, on_complete=responses.append)
+            cloud.submit(
+                work_mi=100.0, on_finish=lambda request, _reason: responses.append(request)
+            )
         world.run_for(10.0)
         assert len(responses) == 3
         assert responses[-1].queue_delay_s == pytest.approx(2.0)
 
     def test_backlog_reported(self, world):
         cloud = CentralCloud(world, compute_mips=100.0, wan_delay_s=0.0)
-        cloud.submit("r", work_mi=500.0, on_complete=lambda r: None)
+        cloud.submit(work_mi=500.0)
         assert cloud.backlog_s == pytest.approx(5.0)
 
     def test_negative_work_rejected(self, world):
@@ -127,7 +129,7 @@ class TestCentralCloud:
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            cloud.submit("r", work_mi=-1.0, on_complete=lambda r: None)
+            cloud.submit(work_mi=-1.0)
 
 
 class TestDeployment:

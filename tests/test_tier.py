@@ -31,7 +31,7 @@ from repro.geometry import Vec2
 from repro.ids import reset_global_ids
 from repro.infra.central_cloud import CentralCloud
 from repro.mobility import StationaryModel
-from repro.serve import HedgePolicy, ServiceGateway, ServiceRequest
+from repro.serve import CircuitBreakerBoard, HedgePolicy, ServiceGateway, ServiceRequest
 from repro.sim import ScenarioConfig, World
 from repro.tier import (
     BACKHAUL_DEGRADED,
@@ -612,33 +612,53 @@ class TestCentralCloudContract:
         cloud = CentralCloud(world, compute_mips=1_000.0, wan_delay_s=0.1)
         responses = []
         failures = []
-        cloud.submit("r1", 500.0, responses.append, on_failure=failures.append)
+
+        def on_finish(request, reason):
+            if reason == "completed":
+                responses.append(request)
+            else:
+                failures.append(reason)
+
+        request = cloud.submit(500.0, on_finish=on_finish)
         assert cloud.pending_requests() == 1
-        assert cloud.cancel("r1", reason="speculation_cancelled")
+        assert cloud.cancel(request, reason="speculation_cancelled")
         assert failures == ["speculation_cancelled"]
         assert cloud.failure_reasons == {"speculation_cancelled": 1}
         assert cloud.pending_requests() == 0
         world.run_until(5.0)
         assert responses == []  # the response event really was cancelled
         assert cloud.requests_served == 0
-        assert not cloud.cancel("r1")  # already terminal
-        assert not cloud.cancel("never-existed")
+        assert not cloud.cancel(request)  # already terminal
+        assert not cloud.cancel(CentralCloud(world).submit(1.0))  # another cloud's
+
+    def test_response_finishes_once_and_cannot_be_cancelled(self, world):
+        cloud = CentralCloud(world, compute_mips=1_000.0, wan_delay_s=0.1)
+        calls = []
+        request = cloud.submit(500.0, on_finish=lambda r, reason: calls.append((r, reason)))
+        world.run_until(5.0)
+        assert calls == [(request, "completed")]
+        assert request.completed_at == pytest.approx(0.7)
+        assert not cloud.cancel(request)  # the response already fired
+        assert calls == [(request, "completed")]
+        assert cloud.failure_reasons == {}
+        assert cloud.requests_failed == 0
+        assert cloud.requests_served == 1
 
     def test_cancel_reclaims_unstarted_queue_slot(self, world):
         cloud = CentralCloud(world, compute_mips=1_000.0, wan_delay_s=0.0)
-        cloud.submit("head", 2_000.0, lambda _r: None)  # 2s of work
-        cloud.submit("tail", 2_000.0, lambda _r: None)  # queued behind it
+        cloud.submit(2_000.0)  # 2s of work
+        tail = cloud.submit(2_000.0)  # queued behind it
         assert cloud.queue_delay_estimate() == pytest.approx(4.0)
-        cloud.cancel("tail")
+        cloud.cancel(tail)
         assert cloud.queue_delay_estimate() == pytest.approx(2.0)
         assert cloud.backlog_s == pytest.approx(2.0)
 
     def test_queue_delay_estimate_matches_reported_delay(self, world):
         cloud = CentralCloud(world, compute_mips=1_000.0, wan_delay_s=0.5)
-        cloud.submit("warm", 3_000.0, lambda _r: None)
+        cloud.submit(3_000.0)
         estimate = cloud.queue_delay_estimate()
         observed = []
-        cloud.submit("probe", 0.0, lambda r: observed.append(r.queue_delay_s))
+        cloud.submit(0.0, on_finish=lambda r, _reason: observed.append(r.queue_delay_s))
         world.run_until(20.0)
         assert observed == [pytest.approx(estimate)]
 
@@ -711,17 +731,21 @@ class TestFederationObservability:
 # ---------------------------------------------------------------------------
 
 
-def build_gateway_tiered(seed=9, **gateway_kwargs):
+def build_gateway_tiered(seed=9, with_breakers=False):
     b = build_tiered(seed=seed, mips=100.0, central_mips=10_000.0)
+    breakers = CircuitBreakerBoard(b.world, "gw") if with_breakers else None
     gateway = ServiceGateway(
-        b.world, b.cloud, name="gw", tiering=b.offloader, **gateway_kwargs
+        b.world, b.cloud, name="gw", tiering=b.offloader, breakers=breakers
     )
     return b, gateway
 
 
 class TestGatewayTiering:
-    def test_deadline_requests_speculate_and_complete(self):
-        b, gateway = build_gateway_tiered()
+    # With breakers, the datacenter's win reaches the gateway's breaker
+    # credit, which only a v-cloud worker can take.
+    @pytest.mark.parametrize("with_breakers", [False, True], ids=["no-breakers", "breakers"])
+    def test_deadline_requests_speculate_and_complete(self, with_breakers):
+        b, gateway = build_gateway_tiered(with_breakers=with_breakers)
         accepted = gateway.submit(
             ServiceRequest.build(work_mi=1_000.0, tenant="t", deadline_s=10.0)
         )
