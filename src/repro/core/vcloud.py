@@ -17,6 +17,7 @@ latency is charged to the join.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import QuorumUnreachableError, ResourceError
@@ -1050,9 +1051,13 @@ class VehicularCloud:
         ``submitted == records`` and
         ``submitted == completed + failed + in_flight`` must hold; a
         mismatch means a task was double-counted or silently lost.
+        Every call recounts every record from its state, so the record
+        counts stay independent of ``stats``; ``list.count`` compares
+        the enum members by identity, in one C-level pass.
         """
-        completed = sum(1 for r in self.records if r.state is TaskState.COMPLETED)
-        failed = sum(1 for r in self.records if r.state is TaskState.FAILED)
+        states = list(map(attrgetter("state"), self.records))
+        completed = states.count(TaskState.COMPLETED)
+        failed = states.count(TaskState.FAILED)
         return {
             "submitted": self.stats.submitted,
             "records": len(self.records),

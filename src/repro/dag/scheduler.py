@@ -38,6 +38,7 @@ the replica races obey the :class:`~repro.core.race.RaceLedger` law.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.capacity import BacklogEstimator
@@ -736,10 +737,13 @@ class DagScheduler:
         ``graphs_submitted == completed + failed + running`` (counters
         agreeing with record states), and every replica ever submitted
         is completed, failed, or live — the DAG extension of the cloud's
-        task-conservation law.
+        task-conservation law.  Like
+        :meth:`~repro.core.vcloud.VehicularCloud.accounting`, every call
+        recounts every record's state in one C-level pass.
         """
-        completed = sum(1 for r in self.records if r.state is GraphState.COMPLETED)
-        failed = sum(1 for r in self.records if r.state is GraphState.FAILED)
+        states = list(map(attrgetter("state"), self.records))
+        completed = states.count(GraphState.COMPLETED)
+        failed = states.count(GraphState.FAILED)
         races = self.stats.races
         return {
             "graphs_submitted": self.stats.graphs_submitted,

@@ -12,17 +12,16 @@ constraints" arguments turn on.  (The propagation term is 1000 times
 the speed-of-light delay; see :class:`~repro.sim.config.ChannelConfig`.)
 
 A transmission costs one dispatch, not one per receiver: ``unicast``
-and ``broadcast`` each call ``_dispatch`` once, and its one loop walks
-the receivers with the frame's constants (source, airtime, tracer, the
-bound RNG draw and the delivery batch) computed once.  Per receiver it
-keeps what varies: one distance, one loss probability, one RNG draw
-per transmitted copy and one ``frame-delivery`` event per surviving
-copy.  The surviving copies of a transmission share one engine batch
-(:meth:`~repro.sim.engine.Engine.batch`), so the transmission costs
-one heap entry and each delivery one entry in a sorted list.  Every
-seeded output is the one the earlier per-receiver dispatch, with one
-``schedule`` per copy, gave; ``_dispatch`` lists the orderings that
-guarantees.
+and ``broadcast`` each call ``_dispatch`` once with the transmission's
+links (:class:`_LinkSet`: each receiver with its distance and loss
+probability), and its one loop walks them with the frame's constants
+(source, airtime, tracer, the bound RNG draw and the delivery batch)
+computed once.  The surviving copies of a transmission share one
+engine batch (:meth:`~repro.sim.engine.Engine.batch`), so the
+transmission costs one heap entry and each delivery one entry in a
+sorted list.  Every seeded output is the one the earlier per-receiver
+dispatch, with one ``schedule`` per copy, gave; ``_dispatch`` lists the
+orderings that guarantees.
 
 Range queries (``neighbors_of``, ``broadcast`` receiver sets, tap
 audibility) run through the world's :class:`~repro.sim.spatial.SpatialGrid`
@@ -31,12 +30,17 @@ node that can report position writes (a :class:`~repro.net.node.VehicleNode`
 forwards its vehicle's) gets a watcher on attach, and before each query
 the channel re-buckets only the nodes written since the last query.
 Nodes that cannot report writes are re-read before every query.  So a
-broadcast costs its receivers, not the fleet.  A per-tick neighbor
-cache — invalidated when a re-bucketed node really moved, and on attach
-and detach — keeps repeated queries within one event free.  Construct
-with ``use_spatial_index=False`` to get the original full-scan
-implementation; it is kept as the correctness oracle and the "before"
-baseline of experiment E13, and returns byte-identical results.
+broadcast costs its receivers, not the fleet.  A per-source neighbor
+cache holds each source's link set, built once with every link's
+geometry, and for each frame airtime the source sends, each receiver's
+complete hop latency.  It is dropped whole when a re-bucketed node
+really moved, and on attach and detach, so while nobody moves (a
+parked fleet) a broadcast with no interceptor and no traced frame costs
+one loss draw per receiver and one batch entry per surviving copy.
+Construct with ``use_spatial_index=False`` to get the original
+full-scan implementation; it builds its links on the fly, is kept as
+the correctness oracle and the "before" baseline of experiment E13, and
+returns byte-identical results.
 
 Attack hooks: *taps* passively observe frames near an adversary
 (eavesdropping, traffic-flow analysis); *interceptors* may drop, delay
@@ -64,7 +68,7 @@ from typing import (
     List,
     Optional,
     Protocol,
-    Sequence,
+    Tuple,
     runtime_checkable,
 )
 
@@ -182,6 +186,39 @@ class Tap(Protocol):
 Interceptor = Callable[[Frame], InterceptVerdict]
 
 
+class _LinkSet:
+    """The links of one transmission source, in receiver order.
+
+    ``distance`` holds each receiver's distance from the source and
+    ``loss`` its :meth:`WirelessChannel._loss_probability`.
+    ``contention`` is the source's neighbor count when the receiver set
+    gives it (a cached neighbor set); it is None for links built on the
+    fly (a unicast, the full scan), whose receivers each count the
+    source's neighbors after their verdict.  ``latencies`` maps a frame
+    airtime to each receiver's complete hop latency; only a set with a
+    ``contention`` fills it, one entry per airtime the source sends.
+    The per-receiver fields are tuples of strings and floats, which the
+    cyclic garbage collector stops tracking at its first pass, so a
+    cached set adds two tracked objects (itself and ``latencies``)
+    whatever its size.
+    """
+
+    __slots__ = ("ids", "distance", "loss", "contention", "latencies")
+
+    def __init__(
+        self,
+        ids: Tuple[str, ...],
+        distance: Tuple[float, ...],
+        loss: Tuple[float, ...],
+        contention: Optional[int],
+    ) -> None:
+        self.ids = ids
+        self.distance = distance
+        self.loss = loss
+        self.contention = contention
+        self.latencies: Dict[float, Tuple[float, ...]] = {}
+
+
 class WirelessChannel:
     """Shared broadcast medium connecting all radio-equipped nodes."""
 
@@ -200,7 +237,7 @@ class WirelessChannel:
         self._grid: Optional["SpatialGrid[str]"] = (
             world.claim_spatial_grid(self) if use_spatial_index else None
         )
-        self._neighbor_cache: Dict[str, List[ChannelNode]] = {}
+        self._neighbor_cache: Dict[str, _LinkSet] = {}
         # Write tracking for the grid: the nodes written since the last
         # sync, how to stop each reporting node's watcher, and the nodes
         # that cannot report writes and so are re-read.
@@ -268,8 +305,10 @@ class WirelessChannel:
         teleports, tests).  Before any indexed query the channel
         re-buckets the nodes whose watchers reported a write since the
         last sync, and re-reads the nodes that cannot report writes.  A
-        write of an equal position is not a move; any real move
-        invalidates the per-tick neighbor cache.
+        write of an equal position is not a move (``-0.0`` and ``0.0``
+        give every cached distance the same ``hypot``); any real move
+        drops the whole neighbor cache, link geometry and latencies
+        included.
         """
         grid = self._grid
         assert grid is not None
@@ -293,26 +332,48 @@ class WirelessChannel:
             if other.node_id != node_id and self.in_range(node, other)
         ]
 
+    def _cached_links(self, node_id: str) -> _LinkSet:
+        """The indexed channel's links from ``node_id``, built once per cache life."""
+        grid = self._grid
+        assert grid is not None
+        node = self.node(node_id)
+        self._sync_index()
+        links = self._neighbor_cache.get(node_id)
+        if links is None:
+            nodes = self._nodes
+            ids = tuple(
+                [
+                    other_id
+                    for other_id in grid.within(node.position, node.radio_range_m)
+                    if other_id != node_id and other_id in nodes
+                ]
+            )
+            links = self._neighbor_cache[node_id] = self._link_set(node, ids, len(ids))
+        return links
+
+    def _link_set(
+        self, src: ChannelNode, ids: Tuple[str, ...], contention: Optional[int]
+    ) -> _LinkSet:
+        """Links from ``src`` to the attached nodes ``ids`` at their current positions."""
+        nodes = self._nodes
+        src_position = src.position
+        distances = tuple([src_position.distance_to(nodes[dst_id].position) for dst_id in ids])
+        return _LinkSet(
+            ids, distances, tuple(map(self._loss_probability, distances)), contention
+        )
+
     def neighbors_of(self, node_id: str) -> List[ChannelNode]:
         """Return nodes reachable from ``node_id`` (excluding itself)."""
         if self._grid is None:
             return self._scan_neighbors(node_id)
-        node = self.node(node_id)
-        self._sync_index()
-        cached = self._neighbor_cache.get(node_id)
-        if cached is None:
-            nodes = self._nodes
-            cached = [
-                nodes[other_id]
-                for other_id in self._grid.within(node.position, node.radio_range_m)
-                if other_id != node_id and other_id in nodes
-            ]
-            self._neighbor_cache[node_id] = cached
-        return list(cached)
+        nodes = self._nodes
+        return [nodes[other_id] for other_id in self._cached_links(node_id).ids]
 
     def neighbor_count(self, node_id: str) -> int:
         """Return the number of reachable neighbors."""
-        return len(self.neighbors_of(node_id))
+        if self._grid is None:
+            return len(self._scan_neighbors(node_id))
+        return len(self._cached_links(node_id).ids)
 
     # -- attack hooks -------------------------------------------------------------
 
@@ -357,7 +418,7 @@ class WirelessChannel:
             if span is not None and tracer is not None:
                 tracer.end_span(span, "dropped", {"reason": "unreachable"})
             return False
-        self._dispatch(src, (dst,), message, span=span)
+        self._dispatch(src, self._link_set(src, (dst_id,), None), message, span=span)
         return True
 
     def broadcast(self, src_id: str, message: Message) -> int:
@@ -367,18 +428,22 @@ class WirelessChannel:
             self._offer_to_taps(Frame(src_id, None, message, self.world.now), src)
         self.world.metrics.increment("channel/frames_sent")
         self.world.metrics.increment("channel/bytes_sent", message.total_bytes)
-        receivers = self.neighbors_of(src_id)
         # The contention term depends only on the *source's* neighborhood,
-        # so the receiver set gives it once per frame.  The legacy
-        # full-scan mode leaves it to ``_dispatch``, which recomputes it
-        # per receiver as the E13 baseline.
-        contention = len(receivers) if self._grid is not None else None
+        # so a cached link set carries it once.  The legacy full-scan mode
+        # builds its links on the fly without it, and ``_dispatch``
+        # recomputes it per receiver as the E13 baseline.
+        if self._grid is not None:
+            links = self._cached_links(src_id)
+        else:
+            scanned = tuple([node.node_id for node in self._scan_neighbors(src_id)])
+            links = self._link_set(src, scanned, None)
         parent_span = self._frame_span("msg.broadcast", message, src_id, None)
         tracer = self.world.tracer
-        self._dispatch(src, receivers, message, contention, parent=parent_span)
+        self._dispatch(src, links, message, parent=parent_span)
+        receivers = len(links.ids)
         if parent_span is not None and tracer is not None:
-            tracer.end_span(parent_span, "ok", {"receivers": len(receivers)})
-        return len(receivers)
+            tracer.end_span(parent_span, "ok", {"receivers": receivers})
+        return receivers
 
     # -- internals ------------------------------------------------------------------
 
@@ -461,8 +526,11 @@ class WirelessChannel:
         The sum is ``((base_transmit + bytes / rate) + propagation) +
         contention``, split so that a transmission computes the frame's
         part once (:meth:`_airtime_s`) and each receiver's part in
-        :meth:`_hop_latency`.  The propagation term is 1000 times too
-        large; see :class:`~repro.sim.config.ChannelConfig`.
+        :meth:`_hop_latency`.  A cached link set keeps each receiver's
+        distance, and for each airtime its source sends, each
+        receiver's whole sum; both are dropped with the neighbor cache,
+        on any real move, attach or detach.  The propagation term is
+        1000 times too large; see :class:`~repro.sim.config.ChannelConfig`.
         """
         return self._hop_latency(self._airtime_s(size_bytes), distance_m, neighbor_count)
 
@@ -474,9 +542,12 @@ class WirelessChannel:
     def _hop_latency(self, airtime_s: float, distance_m: float, neighbor_count: int) -> float:
         """:meth:`latency` given the frame's :meth:`_airtime_s`.
 
-        The propagation term keeps the expression every seeded output
-        was recorded with: ``distance_m * 3.34e-6`` seconds at the
-        default config, 1000 times the speed-of-light delay.
+        This is the one place the propagation expression lives, and it
+        keeps the expression every seeded output was recorded with:
+        ``distance_m * 3.34e-6`` seconds at the default config, 1000
+        times the speed-of-light delay.  The cached hop latencies of
+        :meth:`_latencies` come from here too, so a fix here reaches
+        them with no other change.
         """
         config = self.config
         return (
@@ -485,28 +556,49 @@ class WirelessChannel:
             + config.contention_delay_per_neighbor_s * neighbor_count
         )
 
+    def _latencies(self, links: _LinkSet, airtime_s: float) -> Tuple[float, ...]:
+        """Each receiver's hop latency for frames of ``airtime_s``, built once."""
+        latencies = links.latencies.get(airtime_s)
+        if latencies is None:
+            hop_latency = self._hop_latency
+            contention = links.contention
+            assert contention is not None
+            # ``+ 0.0`` is an undelayed copy's ``+ extra_delay``: the
+            # same float the per-receiver body computes.
+            latencies = links.latencies[airtime_s] = tuple(
+                [hop_latency(airtime_s, distance, contention) + 0.0 for distance in links.distance]
+            )
+        return latencies
+
     def _dispatch(
         self,
         src: ChannelNode,
-        receivers: Sequence[ChannelNode],
+        links: _LinkSet,
         message: Message,
-        contention: Optional[int] = None,
         span=None,
         parent=None,
     ) -> None:
         """Put one transmission on the air: every receiver in one loop.
 
-        A unicast passes its one in-range destination and the frame's
-        ``span``; a broadcast passes its receiver list, the frame's span
-        as ``parent``, and ``contention`` when the receiver set gives
-        it.  The frame's constants are computed once: the source id and
-        position, the airtime, the tracer, the bound RNG draw and one
+        A unicast passes a link set built on the fly for its one
+        in-range destination and the frame's ``span``; a broadcast
+        passes its source's link set and the frame's span as
+        ``parent``.  The frame's constants are computed once: the
+        source id, the airtime, the tracer, the bound RNG draw and one
         ``frame-delivery`` engine batch on :meth:`_deliver`.  Each
-        receiver costs one distance, one :meth:`_loss_probability`, one
-        RNG draw per transmitted copy and one batch entry per surviving
-        copy; the transmission costs one heap entry.  Frames, verdicts
-        and span events cost only when an interceptor is registered or
-        the frame is traced.
+        surviving copy costs one batch entry; the transmission costs
+        one heap entry.
+
+        The body is chosen once per transmission.  With no interceptor
+        registered, an untraced frame and a link set that carries its
+        contention (a cached one), each receiver costs one loss draw
+        and, if its copy survives, one batch entry holding the
+        receiver's cached hop latency from :meth:`_latencies`, keyed by
+        the source and the frame's airtime and dropped with the neighbor
+        cache on any real move, attach or detach, so every delivery over
+        one link shares one latency float.  Otherwise the per-receiver
+        body runs, and frames, verdicts, copies, delays and span events
+        cost only there.
 
         Every seeded output is the one the old per-receiver dispatch
         gave, so the order of side effects is fixed:
@@ -515,10 +607,12 @@ class WirelessChannel:
           ``self._interceptors`` live) before its loss draws, and a
           broadcast opens each receiver's ``msg.delivery`` span just
           before that;
-        * latency is :meth:`_hop_latency` of the frame's airtime (of the
+        * distance and loss probability are the link set's, computed
+          from the positions at its build; latency is
+          :meth:`_hop_latency` of the frame's airtime (of the
           replacement's bytes after a REPLACE), the distance and the
           contention, then ``+ extra_delay``;
-        * with no ``contention`` given (a unicast, or the legacy
+        * with no contention in the link set (a unicast, or the legacy
           full-scan channel) each receiver calls :meth:`neighbor_count`
           after its verdict;
         * each copy draws its own loss, in order;
@@ -545,18 +639,27 @@ class WirelessChannel:
         tracer = world.tracer if span is not None or parent is not None else None
         interceptors = self._interceptors
         src_id = src.node_id
-        src_position = src.position
-        now = world.now
         airtime_s = self._airtime_s(message.total_bytes)
-        loss_probability_at = self._loss_probability
-        hop_latency = self._hop_latency
+        contention = links.contention
         chance = self.rng.chance
         batch = world.engine.batch("frame-delivery", self._deliver)
         add = batch.add
         dispatched = lost = scheduled = 0
         try:
-            for dst in receivers:
-                dst_id = dst.node_id
+            if tracer is None and not interceptors and contention is not None:
+                for dst_id, loss_probability, latency in zip(
+                    links.ids, links.loss, self._latencies(links, airtime_s)
+                ):
+                    dispatched += 1
+                    if chance(loss_probability):
+                        lost += 1
+                    else:
+                        add(latency, (dst_id, message, src_id, latency, None, None))
+                        scheduled += 1
+                return
+            now = world.now
+            hop_latency = self._hop_latency
+            for dst_id, distance, loss_probability in zip(links.ids, links.distance, links.loss):
                 if parent is not None and tracer is not None:
                     span = tracer.start_span(
                         "msg.delivery", subsystem="net", parent=parent, attrs={"dst": dst_id}
@@ -597,8 +700,6 @@ class WirelessChannel:
                         if tracer is not None:
                             tracer.add_event(span, "duplicated", copies=verdict.copies)
 
-                distance = src_position.distance_to(dst.position)
-                loss_probability = loss_probability_at(distance)
                 latency = (
                     hop_latency(
                         sent_airtime_s,

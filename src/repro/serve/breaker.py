@@ -196,9 +196,19 @@ class CircuitBreakerBoard:
         self.min_samples = min_samples
         self.backoff = backoff
         self._breakers: Dict[str, CircuitBreaker] = {}
+        # The breakers that are not CLOSED, the only ones that can bar
+        # dispatch or change when asked.  A breaker leaves CLOSED only
+        # by a trip and returns only by a probe success, so
+        # ``_note_transition`` keeps this in step.
+        self._unsettled: Dict[str, CircuitBreaker] = {}
 
     def breaker_for(self, worker_id: str) -> CircuitBreaker:
-        """The worker's breaker, created CLOSED on first reference."""
+        """The worker's breaker, created CLOSED on first reference.
+
+        Trip and feed it through the board (:meth:`trip`,
+        :meth:`record_outcome`), which tracks the breakers that are not
+        CLOSED for :meth:`ask`.
+        """
         breaker = self._breakers.get(worker_id)
         if breaker is None:
             breaker = CircuitBreaker(
@@ -226,7 +236,9 @@ class CircuitBreakerBoard:
         The rule: each pass asks once for every worker of the pass's
         view (``worker_ids``) except the ones the task is banned from
         (``skip``).  Only an OPEN breaker can change when asked, so only
-        OPEN ones are asked; a CLOSED breaker costs one state test.
+        OPEN ones are asked.  An ask walks only the breakers that are
+        not CLOSED, whatever the view's size and however many workers
+        ever had a breaker, departed ones included.
 
         Returns the ids, of any breaker on the board, that bar dispatch
         after the asks: OPEN, or HALF_OPEN with a probe in flight.  Every
@@ -235,21 +247,17 @@ class CircuitBreakerBoard:
         barred id; for one outside the view, which was not asked here,
         that call is its ask.
         """
-        closed, open_ = BreakerState.CLOSED, BreakerState.OPEN
+        open_ = BreakerState.OPEN
         barred: Set[str] = set()
-        for worker_id, breaker in self._breakers.items():
-            state = breaker.state
-            if state is closed:
-                continue
+        for worker_id, breaker in self._unsettled.items():
             if (
-                state is open_
+                breaker.state is open_
                 and worker_id in worker_ids
                 and (skip is None or worker_id not in skip)
             ):
                 breaker.allows()
-                state = breaker.state
             # Only a HALF_OPEN breaker can have a probe in flight.
-            if state is open_ or breaker._probe_inflight:
+            if breaker.state is open_ or breaker._probe_inflight:
                 barred.add(worker_id)
         return barred
 
@@ -285,6 +293,10 @@ class CircuitBreakerBoard:
     ) -> None:
         if breaker.state is before:
             return
+        if breaker.state is BreakerState.CLOSED:
+            del self._unsettled[worker_id]
+        else:
+            self._unsettled[worker_id] = breaker
         if breaker.state is BreakerState.OPEN:
             self.world.metrics.increment(f"serve/{self.name}/breaker_trips")
             events = self.world.events
@@ -303,7 +315,7 @@ class CircuitBreakerBoard:
         """Workers currently blocked (OPEN and still cooling down), sorted."""
         return sorted(
             worker_id
-            for worker_id, breaker in self._breakers.items()
+            for worker_id, breaker in self._unsettled.items()
             if breaker.state is BreakerState.OPEN
             and breaker.cooldown_remaining_s > 0.0
         )

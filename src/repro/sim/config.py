@@ -33,6 +33,14 @@ class ChannelConfig:
     output and both blessed campaign baselines were recorded with it, so
     it is documented here and not fixed; the fix is a behaviour change
     that re-blesses them.
+
+    A channel computes from these values, once per link, each
+    receiver's distance and loss probability, and once per frame
+    airtime a source sends, each receiver's whole hop latency.
+    It caches them with the source's neighbor set, keyed by the source
+    id and the frame airtime, and drops them with it on any real move,
+    attach or detach.  No cached value can go stale with the config:
+    it is frozen, and a channel sets its ``config`` only at construction.
     """
 
     v2v_range_m: float = 300.0

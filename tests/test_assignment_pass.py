@@ -168,6 +168,13 @@ def breaker_histories(board):
     }
 
 
+def assert_unsettled_tracked(board):
+    """An ask walks exactly the board's breakers that are not CLOSED."""
+    assert set(board._unsettled) == {
+        worker for worker, b in board._breakers.items() if b.state is not BreakerState.CLOSED
+    }
+
+
 class Side:
     """A gateway (breakers and hedging), maybe a DAG scheduler, and a split."""
 
@@ -408,6 +415,7 @@ class PassDifferential(RuleBasedStateMachine):
         assert new.assignments() == old.assignments()
         new.passes.clear()
         old.passes.clear()
+        assert_unsettled_tracked(new.board)
 
 
 class PassDifferentialWithDag(PassDifferential):
@@ -424,6 +432,8 @@ TestGatewayDagPassDifferential = PassDifferentialWithDag.TestCase
 # -- the gate on hand-built input ----------------------------------------------
 
 GATE_WORKERS = tuple(f"w{i}" for i in range(6))
+#: Workers that left: their breakers stay on the board, outside every view.
+DEPARTED_WORKERS = ("gone0", "gone1", "gone2")
 #: How a worker's breaker stands when a pass reaches it: no breaker,
 #: CLOSED, OPEN before or after its cooldown, HALF_OPEN with or without
 #: a probe in flight.
@@ -452,22 +462,23 @@ def gate_gateways(setups):
         for index in range(2)
     ]
     boards = [gateway.breakers for gateway in gateways]
+    workers = GATE_WORKERS + DEPARTED_WORKERS
     for board in boards:
-        for worker, setup in zip(GATE_WORKERS, setups):
+        for worker, setup in zip(workers, setups):
             if setup != "none":
                 board.breaker_for(worker)
             if setup in ("open_cooled", "half_open_probing", "half_open_idle"):
                 board.trip(worker, "test")
     world.run_for(60.0)  # past every first cooldown
     for board in boards:
-        for worker, setup in zip(GATE_WORKERS, setups):
+        for worker, setup in zip(workers, setups):
             if setup.startswith("half_open"):
                 assert board.allows(worker)
             if setup == "half_open_probing":
                 board.note_dispatch(worker)
             if setup == "open_cooling":
                 board.trip(worker, "test")
-    for worker, setup in zip(GATE_WORKERS, setups):
+    for worker, setup in zip(workers, setups):
         breaker = boards[0]._breakers.get(worker)
         if setup.startswith("open"):
             assert breaker.state is BreakerState.OPEN
@@ -492,16 +503,27 @@ def per_candidate_pass_gate(gateway, task, candidates, worker_ids):
 class TestGateOnHandBuiltInput:
     @settings(max_examples=300, deadline=None)
     @given(
-        setups=st.lists(
-            st.sampled_from(BREAKER_SETUPS),
-            min_size=len(GATE_WORKERS),
-            max_size=len(GATE_WORKERS),
-        ),
+        # The departed workers' breakers stand CLOSED or OPEN.
+        setups=st.tuples(
+            st.lists(
+                st.sampled_from(BREAKER_SETUPS),
+                min_size=len(GATE_WORKERS),
+                max_size=len(GATE_WORKERS),
+            ),
+            st.lists(
+                st.sampled_from(("closed", "open_cooling", "open_cooled")),
+                min_size=len(DEPARTED_WORKERS),
+                max_size=len(DEPARTED_WORKERS),
+            ),
+        ).map(lambda pair: pair[0] + pair[1]),
         view=st.lists(st.sampled_from(GATE_WORKERS), unique=True),
         banned=st.one_of(st.none(), st.sets(st.sampled_from(GATE_WORKERS))),
-        # Ids outside the view, banned ids, ids without a breaker (a
-        # "none" setup, or not on the board at all) and duplicates.
-        picks=st.lists(st.sampled_from(GATE_WORKERS + ("stranger",)), max_size=10),
+        # Ids outside the view, departed ones included, banned ids, ids
+        # without a breaker (a "none" setup, or not on the board at all)
+        # and duplicates.
+        picks=st.lists(
+            st.sampled_from(GATE_WORKERS + DEPARTED_WORKERS + ("stranger",)), max_size=10
+        ),
     )
     def test_barred_set_gate_matches_per_candidate_gate(self, setups, view, banned, picks):
         new, old = gate_gateways(setups)
@@ -515,6 +537,7 @@ class TestGateOnHandBuiltInput:
 
         assert admitted == per_candidate_pass_gate(old, task, candidates, tuple(view))
         assert breaker_histories(new.breakers) == breaker_histories(old.breakers)
+        assert_unsettled_tracked(new.breakers)
 
 
 # -- the allocators' ranks -----------------------------------------------------

@@ -3,14 +3,19 @@
 A unicast or a broadcast puts its frame on the air in one call of
 ``WirelessChannel._dispatch``: one loop over the receivers, with the
 frame's constants computed once, and one engine batch holding every
-surviving copy, so one heap entry.  The guard below pins that cost.
-The differential test runs two identically seeded worlds through the
-same transmissions: one on the channel as it is, the other on the
-per-receiver dispatch it replaced, written out here (one dispatch per
-receiver and one ``schedule`` per copy, with the latency and loss
-formulas as they were).  Every delivery, probe event scheduled by an
-interceptor, channel counter, latency sample, RNG state, interceptor
-call and span must stay equal, in engine order.
+surviving copy, so one heap entry.  A broadcast with no interceptor and
+no traced frame reads each link's loss probability and hop latency from
+its source's cached link set, so it costs one loss draw per receiver
+until something moves.  The guards below pin both costs.  The
+differential test runs two identically seeded worlds through the same
+transmissions, attaches, detaches, moves and unchanged position writes:
+one on the channel as it is, the other on the per-receiver dispatch it
+replaced, written out here (one dispatch per receiver and one
+``schedule`` per copy, with distance, loss and latency computed for
+each receiver by the formulas as they were).  Every delivery, probe
+event scheduled by an interceptor, channel counter, latency sample, RNG
+state, interceptor call and span must stay equal, in engine order, and
+so must every neighbor query.
 """
 
 from __future__ import annotations
@@ -284,6 +289,90 @@ class TestTransmissionCost:
         )
         assert engine.pending_events == 0
 
+    def test_a_hook_free_broadcast_over_cached_links_costs_one_draw_per_receiver(
+        self, monkeypatch
+    ):
+        config = ChannelConfig(base_loss_probability=0.3, loss_per_100m=0.0)
+        world = World(ScenarioConfig(seed=5, channel=config))
+        channel = WirelessChannel(world)
+        FixedNode(world, channel, "src", Vec2(0, 0), 300.0)
+        vehicles = [
+            Vehicle(vehicle_id=f"r{i}", position=Vec2(20.0 * (i + 1), 0)) for i in range(10)
+        ]
+        for vehicle in vehicles:
+            VehicleNode(world, channel, vehicle, radio_range_m=300.0)
+        calls: List[str] = []
+
+        def counting(name, method):
+            def wrapper(*args):
+                calls.append(name)
+                return method(*args)
+
+            return wrapper
+
+        for name in ("_loss_probability", "_hop_latency"):
+            monkeypatch.setattr(
+                WirelessChannel, name, counting(name, getattr(WirelessChannel, name))
+            )
+        monkeypatch.setattr(Vec2, "distance_to", counting("distance", Vec2.distance_to))
+        channel.rng.chance = counting("draw", channel.rng.chance)
+
+        def send(size):
+            calls.clear()
+            assert channel.broadcast("src", data_message("src", "*", size, world.now)) == 10
+            return {name: calls.count(name) for name in sorted(set(calls))}
+
+        geometry = {"_loss_probability": 10, "distance": 10}
+        # The first frame builds the links and their latencies at its airtime.
+        assert send(200) == {**geometry, "_hop_latency": 10, "draw": 10}
+        # Another frame of that size reuses both: one draw per receiver.
+        assert send(200) == {"draw": 10}
+        # A frame of another size adds the latencies at its airtime.
+        assert send(500) == {"_hop_latency": 10, "draw": 10}
+        assert send(500) == {"draw": 10}
+        # Writing a position a vehicle already has is not a move.
+        vehicles[3].position = Vec2(80.0, -0.0)
+        assert send(200) == {"draw": 10}
+        # A real move drops the links.
+        vehicles[3].position = Vec2(81.0, 0.0)
+        assert send(200) == {**geometry, "_hop_latency": 10, "draw": 10}
+        world.run_until(1.0)
+        assert world.metrics.counters["channel/frames_delivered"] > 0
+
+    def test_repeated_broadcasts_over_unchanged_links_match_the_per_receiver_dispatch(self):
+        messages = [hello_message("src", (0.0, 0.0), 0.0, 0.0, 0.0) for _ in range(12)]
+        sides = []
+        for channel_class in (WirelessChannel, PerReceiverChannel):
+            config = ChannelConfig(base_loss_probability=0.1, loss_per_100m=0.02)
+            world = World(ScenarioConfig(seed=9, channel=config))
+            channel = channel_class(world)
+            FixedNode(world, channel, "src", Vec2(0, 0), 300.0)
+            deliveries: list = []
+            for index in range(6):
+                vehicle = Vehicle(
+                    vehicle_id=f"p{index}", position=Vec2(37.5 * index - 90.0, 11.0 * index)
+                )
+                node = VehicleNode(world, channel, vehicle, radio_range_m=300.0)
+                node.on_any(functools.partial(record_delivery, world, node.node_id, deliveries))
+            for message in messages:
+                channel.broadcast("src", message)
+                world.run_for(1.0)
+            sides.append((world, channel, deliveries))
+        (world, channel, deliveries), (oracle_world, oracle, oracle_deliveries) = sides
+
+        samples = world.metrics.samples("channel/delivery_latency_s")
+        oracle_samples = oracle_world.metrics.samples("channel/delivery_latency_s")
+        assert len(samples) > len(messages)
+        assert [s.hex() for s in samples] == [s.hex() for s in oracle_samples]
+        assert deliveries == oracle_deliveries
+        assert channel.rng._random.getstate() == oracle.rng._random.getstate()
+        # Every delivery over one link shares one latency float.
+        by_link: dict = {}
+        for _now, node_id, _msg_id, _from_id, latency in deliveries:
+            by_link.setdefault(node_id, []).append(latency)
+        assert len(by_link) == 6
+        assert all(all(latency is shared[0] for latency in shared) for shared in by_link.values())
+
 
 # -- the differential test --------------------------------------------------------
 
@@ -303,6 +392,8 @@ NODE = st.tuples(
 )
 #: Frame sizes stay below the replacement's 841 bytes.
 SIZES = st.lists(st.integers(min_value=20, max_value=800), min_size=1, max_size=3)
+#: A frame size no draw from ``SIZES`` gives.
+EXTRA_SIZE = 801
 VERDICT = st.one_of(
     st.just(("pass",)),
     st.just(("drop",)),
@@ -314,9 +405,14 @@ INTERCEPTORS = st.lists(st.lists(VERDICT, min_size=1, max_size=4), max_size=3)
 INDEX = st.integers(min_value=0, max_value=11)
 OPERATION = st.one_of(
     st.tuples(st.just("broadcast"), INDEX, INDEX),
+    # Two broadcasts from one source, back to back, of any two messages.
+    st.tuples(st.just("burst"), INDEX, INDEX, INDEX),
     st.tuples(st.just("unicast"), INDEX, INDEX, INDEX),
     st.tuples(st.just("run"), st.sampled_from([0.0005, 0.003, 0.02, 1.0])),
     st.tuples(st.just("move"), INDEX, POSITION),
+    # A write of the position a vehicle already has, zero signs flipped.
+    st.tuples(st.just("rewrite"), INDEX),
+    st.tuples(st.just("attach"), NODE),
     st.tuples(st.just("detach"), INDEX),
 )
 LOSS = st.tuples(st.sampled_from([0.0, 0.05, 0.4]), st.sampled_from([0.0, 0.015, 0.3]))
@@ -395,6 +491,8 @@ class Side(NamedTuple):
     nodes: list
     deliveries: list
     seen: list
+    #: Per source, the link set each of its broadcasts used.
+    link_sets: dict
 
 
 def record_delivery(world, node_id, deliveries, message, from_id):
@@ -404,28 +502,33 @@ def record_delivery(world, node_id, deliveries, message, from_id):
     deliveries.append((world.now, node_id, message.msg_id, from_id, latency))
 
 
+def add_node(side, kind, position, range_m):
+    """Attach one more node; its id is its index on the side."""
+    world, channel = side.world, side.channel
+    index = len(side.nodes)
+    if kind == "vehicle":
+        vehicle = Vehicle(vehicle_id=f"v{index}", position=Vec2(*position))
+        node = VehicleNode(world, channel, vehicle, radio_range_m=range_m)
+    else:
+        node = FixedNode(world, channel, f"f{index}", Vec2(*position), range_m)
+    node.on_any(functools.partial(record_delivery, world, node.node_id, side.deliveries))
+    side.nodes.append(node)
+
+
 def build_side(channel_class, seed, loss, indexed, traced, nodes, interceptors, probes):
     config = ChannelConfig(base_loss_probability=loss[0], loss_per_100m=loss[1])
     world = World(ScenarioConfig(seed=seed, channel=config))
     if traced:
         world.enable_observability(channel_frames="all")
     channel = channel_class(world, use_spatial_index=indexed)
-    deliveries: list = []
-    built = []
-    for index, (kind, (x, y), range_m) in enumerate(nodes):
-        if kind == "vehicle":
-            vehicle = Vehicle(vehicle_id=f"v{index}", position=Vec2(x, y))
-            node = VehicleNode(world, channel, vehicle, radio_range_m=range_m)
-        else:
-            node = FixedNode(world, channel, f"f{index}", Vec2(x, y), range_m)
-        node.on_any(functools.partial(record_delivery, world, node.node_id, deliveries))
-        built.append(node)
-    seen: list = []
+    side = Side(world, channel, [], [], [], {})
+    for kind, position, range_m in nodes:
+        add_node(side, kind, position, range_m)
     if probes is not None:
-        channel.add_interceptor(Prober(world, channel, probes, deliveries))
+        channel.add_interceptor(Prober(world, channel, probes, side.deliveries))
     for verdicts in interceptors:
-        channel.add_interceptor(Scripted(verdicts, seen))
-    return Side(world, channel, built, deliveries, seen)
+        channel.add_interceptor(Scripted(verdicts, side.seen))
+    return side
 
 
 def observe(side):
@@ -444,6 +547,26 @@ def observe(side):
     }
 
 
+def operated_node(side, operation):
+    """The node an operation acts on, or None for a ``run``."""
+    kind = operation[0]
+    if kind == "run":
+        return None
+    if kind == "attach":
+        return side.nodes[-1]
+    return side.nodes[operation[1] % len(side.nodes)]
+
+
+def broadcast(side, node, message):
+    """Broadcast, and note which link set the broadcast used."""
+    channel = side.channel
+    receivers = channel.broadcast(node.node_id, message)
+    side.link_sets.setdefault(node.node_id, []).append(
+        channel._neighbor_cache.get(node.node_id)
+    )
+    return receivers
+
+
 def apply(side, operation, messages):
     """Run one operation on one side; returns what the channel returned."""
     nodes, channel = side.nodes, side.channel
@@ -451,10 +574,16 @@ def apply(side, operation, messages):
     if kind == "run":
         side.world.run_for(operation[1])
         return None
+    if kind == "attach":
+        add_node(side, *operation[1])
+        return None
     node = nodes[operation[1] % len(nodes)]
-    if kind == "move":
+    if kind in ("move", "rewrite"):
         if isinstance(node, VehicleNode):
-            node.vehicle.position = Vec2(*operation[2])
+            x, y = operation[2] if kind == "move" else node.vehicle.position
+            if kind == "rewrite":
+                x, y = (-x if x == 0.0 else x), (-y if y == 0.0 else y)
+            node.vehicle.position = Vec2(x, y)
         return None
     if not channel.is_attached(node.node_id):
         return None
@@ -462,9 +591,24 @@ def apply(side, operation, messages):
         channel.detach(node.node_id)
         return None
     if kind == "broadcast":
-        return channel.broadcast(node.node_id, messages[operation[2] % len(messages)])
+        return broadcast(side, node, messages[operation[2] % len(messages)])
+    if kind == "burst":
+        return [
+            broadcast(side, node, messages[index % len(messages)]) for index in operation[2:]
+        ]
     target = nodes[operation[2] % len(nodes)]
     return channel.unicast(node.node_id, target.node_id, messages[operation[3] % len(messages)])
+
+
+def check_neighbors(one_loop, per_receiver, node):
+    """``neighbors_of`` and ``neighbor_count`` equal the oracle's."""
+    if node is None or not one_loop.channel.is_attached(node.node_id):
+        return
+    node_id = node.node_id
+    expected = [n.node_id for n in per_receiver.channel.neighbors_of(node_id)]
+    assert [n.node_id for n in one_loop.channel.neighbors_of(node_id)] == expected
+    assert one_loop.channel.neighbor_count(node_id) == len(expected)
+    assert per_receiver.channel.neighbor_count(node_id) == len(expected)
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "all-frames-traced"])
@@ -483,7 +627,9 @@ def test_one_loop_dispatch_matches_per_receiver_dispatch(
     indexed, traced, seed, loss, nodes, sizes, scripts, probes, operations
 ):
     # Messages and verdicts are shared, so both sides see the same ids.
-    messages = [data_message("x", "y", size, 0.0) for size in sizes]
+    # The last message's size is drawn for no other, so every source
+    # that sends it sends frames of two airtimes.
+    messages = [data_message("x", "y", size, 0.0) for size in sizes + [EXTRA_SIZE]]
     replacement = data_message("mitm", "y", 777, 0.0, payload={"forged": True}).with_envelope(
         SecurityEnvelope(claimed_identity="mitm", extra_bytes=64)
     )
@@ -502,16 +648,42 @@ def test_one_loop_dispatch_matches_per_receiver_dispatch(
     one_loop, per_receiver = sides
     # After the drawn operations every node broadcasts once and unicasts
     # to the next node, so every example puts its interceptor stack in
-    # front of real receivers.
+    # front of real receivers.  Then a new node attaches, every node
+    # broadcasts a frame of each of two sizes, another node attaches and
+    # every node broadcasts again: every example both reuses the cached
+    # links (the first new node's second frame) and drops them.
+    extra = len(messages) - 1
+    first_new = len(nodes) + sum(1 for operation in operations if operation[0] == "attach")
     sweep = [
         operation
         for index in range(len(nodes))
         for operation in (("broadcast", index, index), ("unicast", index, index + 1, index))
     ]
+    sweep.append(("attach", ("fixed", (0.0, 0.0), 300.0)))
+    sweep += [
+        operation
+        for index in range(first_new + 1)
+        for operation in (("broadcast", index, extra), ("broadcast", index, 0))
+    ]
+    sweep.append(("attach", ("vehicle", (60.0, 0.0), 300.0)))
+    sweep += [("broadcast", index, index) for index in range(first_new + 2)]
     for operation in operations + sweep:
         assert apply(one_loop, operation, messages) == apply(per_receiver, operation, messages)
         assert observe(one_loop) == observe(per_receiver), operation
+        check_neighbors(one_loop, per_receiver, operated_node(one_loop, operation))
     for side in sides:
         side.world.run_for(5.0)
+    for node in one_loop.nodes:
+        check_neighbors(one_loop, per_receiver, node)
     assert observe(one_loop) == observe(per_receiver)
     assert observe(one_loop)["in_flight"] == 0
+    if indexed:
+        # Some source broadcast twice over one link set, and some
+        # source's links were rebuilt after the cache was dropped.
+        used = [
+            (earlier is later, earlier is not None and later is not None)
+            for sets in one_loop.link_sets.values()
+            for earlier, later in zip(sets, sets[1:])
+        ]
+        assert (True, True) in used
+        assert (False, True) in used

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import (
     ChaosProfile,
@@ -20,7 +22,11 @@ from repro.chaos import (
     stationary_scenario,
 )
 from repro.chaos.invariants import ChannelConservation, SingleHead
-from repro.core import ResourceOffer, VehicularCloud
+from repro.core import ResourceOffer, Task, VehicularCloud
+from repro.core.tasks import TaskRecord, TaskState
+from repro.dag import DagScheduler
+from repro.dag.graph import GraphState, StageSpec, TaskGraph
+from repro.dag.scheduler import GraphRecord
 from repro.errors import ChaosError, ConfigurationError
 from repro.faults.plan import NETWORK_FAULTS, PROCESS_FAULTS
 from repro.geometry import Vec2
@@ -110,6 +116,19 @@ class TestInvariants:
         cloud.stats.completed += 1  # corrupt the ledger
         assert inv.check(world.now)
 
+    def test_task_conservation_recounts_a_state_flipped_behind_the_counters(self):
+        world, _vehicles, cloud = small_cloud()
+        for _ in range(3):
+            cloud.submit(Task(work_mi=100))
+        world.run_for(10.0)
+        inv = TaskConservation(cloud)
+        assert inv.check(world.now) == []
+        completed = next(r for r in cloud.records if r.state is TaskState.COMPLETED)
+        completed.fail()  # the record changes; stats does not
+        messages = [violation.message for violation in inv.check(world.now)]
+        assert "failed counter 0 != failed records 1" in messages
+        assert any(m.startswith("completed counter 3 != completed records 2") for m in messages)
+
     def test_single_head_detects_headless_and_foreign_head(self):
         world, _vehicles, cloud = small_cloud()
         inv = SingleHead(cloud)
@@ -168,6 +187,32 @@ class TestInvariants:
         assert suite.checks_run == 2
         assert world.metrics.counter("chaos/violations") == len(fresh)
         assert world.metrics.counter("chaos/violations/task-conservation") == len(fresh)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        task_states=st.lists(st.sampled_from(list(TaskState)), max_size=30),
+        graph_states=st.lists(st.sampled_from(list(GraphState)), max_size=30),
+    )
+    def test_record_recounts_equal_a_generator_count(self, task_states, graph_states):
+        world, _vehicles, cloud = small_cloud()
+        scheduler = DagScheduler(world, cloud)
+        graph = TaskGraph(stages=(StageSpec("s0", 100.0),))
+        cloud.records = [TaskRecord(Task(work_mi=10.0), 0.0, state=s) for s in task_states]
+        scheduler.records = [GraphRecord(graph, 0.0, state=s) for s in graph_states]
+
+        def count(records, state):
+            return sum(1 for r in records if r.state is state)
+
+        acc = cloud.accounting()
+        completed = count(cloud.records, TaskState.COMPLETED)
+        failed = count(cloud.records, TaskState.FAILED)
+        assert (acc["records_completed"], acc["records_failed"]) == (completed, failed)
+        assert acc["records_in_flight"] == len(task_states) - completed - failed
+        acc = scheduler.accounting()
+        completed = count(scheduler.records, GraphState.COMPLETED)
+        failed = count(scheduler.records, GraphState.FAILED)
+        assert (acc["records_completed"], acc["records_failed"]) == (completed, failed)
+        assert acc["records_running"] == len(graph_states) - completed - failed
 
     def test_violation_describe(self):
         v = Violation(invariant="x", time=1.25, message="boom")
