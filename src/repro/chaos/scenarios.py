@@ -94,11 +94,13 @@ def harden_cloud(cloud: VehicularCloud) -> None:
 def weaken_cloud(cloud: VehicularCloud) -> None:
     """Strip recovery: no leases, no retry backoff, best-effort quorum.
 
-    Assignment retries stay on: with ``retry_backoff=None`` the cloud
+    Assignment retries stay on: the fixed policy a cloud gets by default
     retries every ``RETRY_INTERVAL_S`` (1 s), without backoff or jitter,
-    up to its ``max_assignment_retries``.
+    up to the cloud's ``max_assignment_retries``.
     """
-    cloud.retry_backoff = None
+    cloud.retry_backoff = BackoffPolicy.fixed(
+        cloud.RETRY_INTERVAL_S, cloud.max_assignment_retries
+    )
     cloud.enable_replicated_storage(
         quorum=QuorumConfig(write_quorum=1, read_quorum=1),
         anti_entropy_period_s=None,

@@ -45,7 +45,6 @@ from .scheduler import (
     AllocationChoice,
     Allocator,
     DwellAwareAllocator,
-    GatedAllocator,
     GreedyResourceAllocator,
     RandomAllocator,
     WorkerCandidate,
@@ -98,7 +97,6 @@ __all__ = [
     "DynamicVCloud",
     "ElectionResult",
     "FileStore",
-    "GatedAllocator",
     "GreedyResourceAllocator",
     "HandoverOutcome",
     "HandoverPolicy",

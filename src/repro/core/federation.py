@@ -183,6 +183,9 @@ class CloudFederation:
             dwell_lookup=cloud.dwell_lookup,
             max_members=cloud.membership.max_members,
         )
+        # The parent's placement policies hold on the split too; a gate
+        # registered later on either cloud stays its own.
+        new_cloud.gates = list(cloud.gates)
         candidates = []
         for member_id in seceding:
             vehicle = self.vehicle_lookup(member_id)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, List, NamedTuple, Optional, Sequence
 
 from ..errors import TaskError
 from ..sim.rng import SeededRng
@@ -59,18 +59,9 @@ class Allocator:
     name = "base"
 
     def choose(
-        self,
-        task: Task,
-        candidates: Sequence[WorkerCandidate],
-        worker_ids: Sequence[str] = (),
+        self, task: Task, candidates: Sequence[WorkerCandidate]
     ) -> Optional[AllocationChoice]:
-        """Pick a worker, or None if no candidate is acceptable.
-
-        ``worker_ids`` are the ids of the pass's worker view: every
-        worker the pass looked at, assignable or not, in pool order.
-        Only :class:`GatedAllocator` gates read them; callers with
-        hand-built candidates may leave them out.
-        """
+        """Pick a worker, or None if no candidate is acceptable."""
         raise NotImplementedError
 
     @staticmethod
@@ -99,10 +90,7 @@ class RandomAllocator(Allocator):
         self.rng = rng
 
     def choose(
-        self,
-        task: Task,
-        candidates: Sequence[WorkerCandidate],
-        worker_ids: Sequence[str] = (),
+        self, task: Task, candidates: Sequence[WorkerCandidate]
     ) -> Optional[AllocationChoice]:
         eligible = self._eligible(task, candidates)
         if not eligible:
@@ -123,10 +111,7 @@ class GreedyResourceAllocator(Allocator):
     name = "greedy-resource"
 
     def choose(
-        self,
-        task: Task,
-        candidates: Sequence[WorkerCandidate],
-        worker_ids: Sequence[str] = (),
+        self, task: Task, candidates: Sequence[WorkerCandidate]
     ) -> Optional[AllocationChoice]:
         eligible = self._eligible(task, candidates)
         if not eligible:
@@ -153,10 +138,7 @@ class DwellAwareAllocator(Allocator):
         self.fallback_to_fastest = fallback_to_fastest
 
     def choose(
-        self,
-        task: Task,
-        candidates: Sequence[WorkerCandidate],
-        worker_ids: Sequence[str] = (),
+        self, task: Task, candidates: Sequence[WorkerCandidate]
     ) -> Optional[AllocationChoice]:
         eligible = self._eligible(task, candidates)
         if not eligible:
@@ -178,45 +160,12 @@ class DwellAwareAllocator(Allocator):
         return self._choice(task, max(eligible, key=_BY_FREE_MIPS))
 
 
-#: A per-pass gate: ``(task, candidates, worker_ids) -> admitted``.
-CandidateGate = Callable[
-    [Task, Sequence[WorkerCandidate], Sequence[str]], Sequence[WorkerCandidate]
-]
-
-
-class GatedAllocator(Allocator):
-    """Wraps an allocator, narrowing each pass's candidates through a gate.
-
-    The gate runs once per assignment pass, on every pass, one with no
-    candidate included.  It receives ``(task, candidates, worker_ids)``:
-    the assignable candidates and the ids of the whole worker view the
-    pass looked at, busy workers included.  It returns the candidates
-    that may be considered.  This is how serving-layer policies (circuit
-    breakers, hedge anti-affinity) and DAG sibling anti-affinity
-    constrain dispatch without re-implementing allocation: the inner
-    allocator, itself possibly gated, still ranks whatever survives.
-    """
-
-    name = "gated"
-
-    def __init__(self, inner: Allocator, gate: CandidateGate) -> None:
-        self.inner = inner
-        self.gate = gate
-
-    def choose(
-        self,
-        task: Task,
-        candidates: Sequence[WorkerCandidate],
-        worker_ids: Sequence[str] = (),
-    ) -> Optional[AllocationChoice]:
-        return self.inner.choose(task, self.gate(task, candidates, worker_ids), worker_ids)
-
-
 def candidates_from_pool(
     pool: ResourcePool,
     task: Task,
     dwell_lookup: Callable[[str], float],
     worker_ids: Sequence[str],
+    excluded: Collection[str] = (),
 ) -> List[WorkerCandidate]:
     """The assignable workers of one pass, as candidates.
 
@@ -230,8 +179,10 @@ def candidates_from_pool(
     dwell in seconds) is the only call made per worker, once for
     *every* worker, in that order, since a lookup may draw from a
     seeded stream.  A candidate is built only for a worker with free
-    compute that carries the task's sensors; the rest could never be
-    chosen.  Free compute is read live, so reservations show up at once.
+    compute that carries the task's sensors and is not ``excluded``
+    (the ids the cloud's gates bar for this task); the rest could never
+    be chosen.  Free compute is read live, so reservations show up at
+    once.
     """
     required = task.required_sensors
     return [
@@ -241,4 +192,5 @@ def candidates_from_pool(
         )
         if (free_mips := state.offer.compute_mips - state.reserved_mips) > 0
         and (not required or required.issubset(state.offer.sensors))
+        and vehicle_id not in excluded
     ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import QuorumUnreachableError, ResourceError
 from ..faults.recovery import BackoffPolicy, WorkerLeases
@@ -45,6 +45,9 @@ from .tasks import Task, TaskRecord, TaskState
 
 if TYPE_CHECKING:
     from ..obs import Span
+
+#: A placement policy: ``(task, worker_ids) -> ids the task may not use``.
+AssignmentGate = Callable[[Task, Sequence[str]], Collection[str]]
 
 
 class CoordinationAdapter:
@@ -253,8 +256,9 @@ class VehicularCloud:
         # Retries model queueing while workers are busy or coordination is
         # down; deadline-carrying tasks fail via their deadline first, so
         # the retry budget is a backstop for deadline-free tasks.
-        # ``retry_backoff`` replaces the fixed RETRY_INTERVAL_S with
-        # exponential backoff + jitter; None keeps the legacy fixed timer.
+        # ``retry_backoff`` spaces the retries; None is the fixed
+        # RETRY_INTERVAL_S timer.  ``max_assignment_retries`` bounds them,
+        # whatever the policy's own ``max_retries``.
         self.world = world
         self.cloud_id = cloud_id
         self.allocator = allocator if allocator is not None else GreedyResourceAllocator()
@@ -274,7 +278,11 @@ class VehicularCloud:
         self.records: List[TaskRecord] = []
         self._executions: Dict[str, _Execution] = {}  # task_id -> execution
         self._retries: Dict[str, int] = {}
-        self.retry_backoff = retry_backoff
+        self.retry_backoff = (
+            retry_backoff
+            if retry_backoff is not None
+            else BackoffPolicy.fixed(self.RETRY_INTERVAL_S, max_assignment_retries)
+        )
         self._retry_rng = world.rng.fork(f"{cloud_id}/retry")
         self.leases: Optional[WorkerLeases] = None
         self._lease_task: Optional[PeriodicTask] = None
@@ -284,6 +292,10 @@ class VehicularCloud:
         #: task_id -> root span of the task's causal trace (traced runs).
         self._task_spans: Dict[str, "Span"] = {}
         self._lease_eviction_listeners: List[Callable[[str], None]] = []
+        #: Placement policies (breakers, anti-affinity).  Every assignment
+        #: pass calls each once with its worker view's ids, whether or not
+        #: a worker is free, and builds no candidate for an id any returns.
+        self.gates: List[AssignmentGate] = []
         self.membership.on_leave(self._on_member_left)
 
     # -- lifecycle hooks -----------------------------------------------------------
@@ -481,13 +493,15 @@ class VehicularCloud:
         if not self.coordination.available():
             self._schedule_retry(record, reason="coordination unavailable")
             return
-        # The view goes to the allocator too: its gates answer for the
-        # pass's workers, and an allocator may be shared between clouds.
+        task = record.task
         worker_ids = self.worker_view().ids
+        excluded: set = set()
+        for gate in self.gates:
+            excluded.update(gate(task, worker_ids))
         candidates = candidates_from_pool(
-            self.pool, record.task, self.dwell_lookup, worker_ids
+            self.pool, task, self.dwell_lookup, worker_ids, excluded
         )
-        choice = self.allocator.choose(record.task, candidates, worker_ids)
+        choice = self.allocator.choose(task, candidates)
         if choice is None:
             self._schedule_retry(record, reason="no eligible worker")
             return
@@ -547,12 +561,10 @@ class VehicularCloud:
             self._fail_record(record, "retries_exhausted")
             return
         self._retries[record.task.task_id] = retries + 1
-        if self.retry_backoff is not None:
-            delay = self.retry_backoff.delay_for(retries, self._retry_rng)
-        else:
-            delay = self.RETRY_INTERVAL_S
         self.world.engine.schedule(
-            delay, lambda: self._try_assign(record), label="task-retry"
+            self.retry_backoff.delay_for(retries, self._retry_rng),
+            lambda: self._try_assign(record),
+            label="task-retry",
         )
 
     def _complete(self, task_id: str) -> None:

@@ -8,11 +8,11 @@ allocator/lease machinery, and makes the execution survive worker churn:
   :class:`~repro.dag.reliability.ReliabilityEstimator` for candidate
   survival probabilities and the
   :class:`~repro.dag.redundancy.RedundancyPlanner` for a k-of-n replica
-  count; replicas are anti-affine (a
-  :class:`~repro.core.scheduler.GatedAllocator` gate keeps siblings off
-  the same worker) and race in a :class:`~repro.core.race.Race`: first
-  result wins, and losers retire through the cloud's typed ``cancel``
-  path as ``replica_cancelled``.
+  count; replicas are anti-affine (a gate on the cloud returns, once
+  per assignment pass, the workers a replica's live siblings hold, so
+  the cloud builds no candidate for them) and race in a
+  :class:`~repro.core.race.Race`: first result wins, and losers retire
+  through the cloud's typed ``cancel`` path as ``replica_cancelled``.
 * **Checkpointed recovery** — a completed stage's intermediate output is
   checkpointed into the cloud's replicated quorum store, so a crashed or
   departed worker costs re-execution of only the lost frontier (the
@@ -39,11 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..core.capacity import BacklogEstimator
 from ..core.race import Race, RaceLedger, ledger_count
-from ..core.scheduler import GatedAllocator, WorkerCandidate, candidates_from_pool
+from ..core.scheduler import candidates_from_pool
 from ..core.tasks import Task, TaskRecord, TaskState
 from ..core.vcloud import VehicularCloud
 from ..errors import ConfigurationError, ResourceError
@@ -218,9 +218,9 @@ class DagScheduler:
         self.records: List[GraphRecord] = []
         #: live replica task_id -> the race it runs in, for the sibling gate
         self._replica_index: Dict[str, Race] = {}
-        # Sibling replicas must land on distinct workers; the gate keeps
-        # the cloud's own allocator ranking for everything it admits.
-        cloud.allocator = GatedAllocator(cloud.allocator, self._gate)
+        # Sibling replicas must land on distinct workers; the cloud's own
+        # allocator ranks every worker the gate leaves in.
+        cloud.gates.append(self._gate)
         cloud.membership.on_leave(self._on_worker_left)
 
     # -- observability -------------------------------------------------------
@@ -305,22 +305,17 @@ class DagScheduler:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _gate(
-        self,
-        task: Task,
-        candidates: Sequence[WorkerCandidate],
-        worker_ids: Sequence[str],
-    ) -> Sequence[WorkerCandidate]:
+    def _gate(self, task: Task, worker_ids: Sequence[str]) -> Collection[str]:
+        """The workers a replica's live, placed siblings hold."""
         race = self._replica_index.get(task.task_id)
         if race is None:
-            return candidates
-        taken = {
+            return ()
+        return {
             sibling.worker_id
             for sibling in race.live
             if sibling.task is not task
             and sibling.state in (TaskState.ASSIGNED, TaskState.RUNNING)
         }
-        return [c for c in candidates if c.vehicle_id not in taken]
 
     def _remaining_budget_s(self, record: GraphRecord) -> Optional[float]:
         deadline_at = record.deadline_at()

@@ -241,11 +241,12 @@ class CircuitBreakerBoard:
         ever had a breaker, departed ones included.
 
         Returns the ids, of any breaker on the board, that bar dispatch
-        after the asks: OPEN, or HALF_OPEN with a probe in flight.  Every
-        other id is one whose :meth:`allows` would answer True without
-        changing state, so a gate need only call :meth:`allows` for a
-        barred id; for one outside the view, which was not asked here,
-        that call is its ask.
+        after the asks: OPEN, or HALF_OPEN with a probe in flight.  Among
+        the view's ids not in ``skip`` these are exactly the ones
+        :meth:`allows` would refuse, an OPEN breaker still cooling or a
+        probe in flight, and it would refuse them without a state
+        change.  So the gateway's gate excludes the returned ids as they
+        are, before any candidate is built, and asks no breaker twice.
         """
         open_ = BreakerState.OPEN
         barred: Set[str] = set()

@@ -10,8 +10,11 @@ protection lives:
   *paced* into the cloud one per free worker slot, so the cloud's
   retry loop never becomes an unbounded hidden queue;
 * shedding policies revisit the queue as conditions change;
-* per-worker circuit breakers and hedge anti-affinity constrain the
-  cloud's allocator through a :class:`~repro.core.scheduler.GatedAllocator`;
+* per-worker circuit breakers and hedge anti-affinity constrain
+  placement through a gate on the cloud: once per assignment pass it
+  returns the ids of the pass's view the task may not use (the hedge's
+  banned workers and the breakers' barred ids), so the cloud builds no
+  candidate for them;
 * laggard primaries get a deadline-aware hedge replica on a different
   worker; primary and hedge race in a :class:`~repro.core.race.Race` —
   first result wins, the loser is cancelled through the cloud's
@@ -39,11 +42,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, Dict, List, Optional, Sequence
 
 from ..core.capacity import BacklogEstimator
 from ..core.race import CANCELLED, FAILED, Race, RaceLedger, ledger_count
-from ..core.scheduler import GatedAllocator, WorkerCandidate
 from ..core.tasks import Task, TaskRecord
 from ..core.vcloud import VehicularCloud
 from ..dag.graph import TaskGraph
@@ -226,7 +228,7 @@ class ServiceGateway:
                 "the DAG scheduler must execute on the gateway's cloud"
             )
         if breakers is not None or hedging is not None:
-            cloud.allocator = GatedAllocator(cloud.allocator, self._gate)
+            cloud.gates.append(self._gate)
         if breakers is not None:
             cloud.on_lease_eviction(lambda worker_id: breakers.trip(worker_id, "lease_expiry"))
         if self.shedders or self.paced:
@@ -406,37 +408,27 @@ class ServiceGateway:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _gate(
-        self,
-        task: Task,
-        candidates: Sequence[WorkerCandidate],
-        worker_ids: Sequence[str],
-    ) -> List[WorkerCandidate]:
+    def _gate(self, task: Task, worker_ids: Sequence[str]) -> Collection[str]:
         """Hedge anti-affinity and the breakers, once per assignment pass.
 
         ``worker_ids`` is the pass's view, which on a federation split
-        belongs to another cloud sharing this allocator.  First the
-        breakers of the whole view but the banned workers are asked, as
-        :meth:`CircuitBreakerBoard.ask` describes; it returns the ids
-        whose breakers bar dispatch.  A candidate survives when it is
-        not banned and its id is not barred, or is barred but
-        :meth:`CircuitBreakerBoard.allows` it when asked again.  Only a
-        barred id costs that call, and each candidate gets the answer,
-        and makes the state change, that asking ``allows`` for every
-        candidate would: a candidate outside the view, whose OPEN
-        breaker the ask skipped, is asked here.
+        belongs to the split's cloud, since a split copies its parent's
+        gates.  Returns the task's banned workers plus the ids
+        :meth:`CircuitBreakerBoard.ask` bars after asking the breakers
+        of the view but the banned workers.  A barred id of the view
+        that is not banned is OPEN and still cooling, or HALF_OPEN with
+        a probe in flight, both of which
+        :meth:`CircuitBreakerBoard.allows` refuses without a state
+        change, so no breaker is asked twice.
         """
         banned = self._anti_affinity.get(task.task_id)
         breakers = self.breakers
         if breakers is None:
-            return [c for c in candidates if banned is None or c.vehicle_id not in banned]
+            return banned or ()
         barred = breakers.ask(worker_ids, banned)
-        return [
-            candidate
-            for candidate in candidates
-            if (banned is None or candidate.vehicle_id not in banned)
-            and (candidate.vehicle_id not in barred or breakers.allows(candidate.vehicle_id))
-        ]
+        if banned:
+            barred.update(banned)
+        return barred
 
     def _pump(self) -> None:
         while len(self.queue) > 0 and len(self._inflight) < self.dispatch_slots():

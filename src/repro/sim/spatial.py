@@ -17,8 +17,10 @@ identical ``math.hypot(px - x, py - y) <= radius`` comparison that
 ``Vec2.distance_to(...) <= radius`` evaluates (boundary-exact distances
 included), and results come back ordered by insertion sequence, which
 matches the iteration order of the ``dict``-backed registries the
-brute-force scans walked.  ``tests/test_sim_spatial.py`` pins the
-equivalence with property tests over random snapshots.
+brute-force scans walked.  That comparison rounds, so an item a few
+ulps outside the disc can pass it; the query therefore visits the cells
+of a disc widened by more than that rounding.  ``tests/test_sim_spatial.py``
+pins the equivalence with property tests over random snapshots.
 
 Each cell maps its item ids to ``(seq, x, y)`` records, the insertion
 sequence number and the coordinates of the recorded position, so a
@@ -162,12 +164,16 @@ class SpatialGrid(Generic[ItemId]):
         px = point.x
         py = point.y
         size = self.cell_size_m
+        # The hit test rounds, so an item up to a few ulps past the disc
+        # can pass it: widen the span by more than that rounding (2e-15
+        # of the magnitudes' sum is at least nine ulps of the largest).
+        reach = radius + (abs(px) + abs(py) + radius) * 2e-15
         groups: Iterable[Dict[ItemId, _Record]]
         try:
-            cx0 = math.floor((px - radius) / size)
-            cx1 = math.floor((px + radius) / size)
-            cy0 = math.floor((py - radius) / size)
-            cy1 = math.floor((py + radius) / size)
+            cx0 = math.floor((px - reach) / size)
+            cx1 = math.floor((px + reach) / size)
+            cy0 = math.floor((py - reach) / size)
+            cy1 = math.floor((py + reach) / size)
         except (OverflowError, ValueError):
             # A non-finite bound (an infinite radius, or a point off the
             # finite plane): the disc's cell span is unbounded.

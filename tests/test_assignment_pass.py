@@ -1,17 +1,19 @@
 """What one assignment pass costs, and what it must leave unchanged.
 
-An assignment pass builds candidates only for the workers that can take
-the task, and asks the circuit breakers once for the pass's whole view.
-The guard at the bottom pins that cost.  The state machine runs two
-identically seeded worlds through the same rules: one allocates through
-the current per-pass gates, the other through the per-candidate gate
-they replaced, written out here (one candidate per worker of the view,
-the gateway's old gate on each, then the inner allocator).  Every
-breaker's history and every task's worker sequence must stay equal
-between the two.  Two differential tests on hand-built input follow:
-the gateway's gate against the per-candidate gate, with breakers in
-every state, and the allocators against their ranks written as lambda
-keys.
+An assignment pass asks its cloud's gates once which ids of its worker
+view the task may not use, asks the circuit breakers once for the whole
+view, and builds candidates only for the workers that can take the task.
+The guards at the bottom pin that cost.  The state machine runs two
+identically seeded worlds through the same rules: one places work
+through the cloud's gates, the other through the per-candidate gate they
+replaced, written out here (one candidate per worker of the view, the
+gateway's old gate on each, then the DAG's, then the inner allocator).
+Every pass, every breaker's history and every task's worker sequence
+must stay equal between the two.  Two differential tests on hand-built
+input follow: the gateway's excluded ids against the per-candidate gate,
+with breakers in every state, and the allocators against their ranks
+written as lambda keys.  A split made by the federation keeps its
+parent's gates.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.core import (
     AllocationChoice,
     Allocator,
     CheckpointHandoverPolicy,
+    CloudFederation,
     DwellAwareAllocator,
     GreedyResourceAllocator,
     ResourceOffer,
@@ -40,13 +43,14 @@ from repro.core import (
     VehicularCloud,
     WorkerCandidate,
 )
+from repro.core import vcloud as vcloud_module
 from repro.core.tasks import TaskState
 from repro.dag import DagScheduler, RedundancyPlanner, ReliabilityEstimator
 from repro.dag.graph import StageSpec, TaskGraph
 from repro.faults import BackoffPolicy
 from repro.geometry import Vec2
 from repro.ids import reset_global_ids
-from repro.mobility import SensorKind, StationaryModel
+from repro.mobility import SensorKind, StationaryModel, Vehicle
 from repro.serve import (
     BreakerState,
     CircuitBreaker,
@@ -111,14 +115,14 @@ def per_candidate_dag_gate(scheduler):
     return gate
 
 
-class PerCandidateGatedAllocator(Allocator):
-    """The gated allocator with its per-candidate predicate."""
+class FilteringAllocator(Allocator):
+    """An allocator behind a per-candidate predicate, as the gates were."""
 
     def __init__(self, inner, gate):
         self.inner = inner
         self.gate = gate
 
-    def choose(self, task, candidates, worker_ids=()):
+    def choose(self, task, candidates):
         admitted = [c for c in candidates if self.gate(task, c)]
         if not admitted:
             return None
@@ -126,36 +130,26 @@ class PerCandidateGatedAllocator(Allocator):
 
 
 class PassLog(Allocator):
-    """Outermost in both worlds: each pass's choice and breaker histories."""
+    """Outermost on each cloud of both worlds: each pass's view, choice and
+    breaker histories.  For the per-candidate gates it first builds the
+    candidate list a pass used to build, one per worker of the view."""
 
-    def __init__(self, inner, side):
+    def __init__(self, inner, side, cloud, per_worker):
         self.inner = inner
         self.side = side
+        self.cloud = cloud
+        self.per_worker = per_worker
 
-    def choose(self, task, candidates, worker_ids=()):
-        choice = self.inner.choose(task, candidates, worker_ids)
+    def choose(self, task, candidates):
+        cloud = self.cloud
+        view = cloud.worker_view().ids
+        if self.per_worker:
+            candidates = per_worker_candidates(cloud.pool, task, cloud.dwell_lookup, view)
+        choice = self.inner.choose(task, candidates)
         self.side.passes.append(
-            (
-                tuple(worker_ids),
-                None if choice is None else choice.vehicle_id,
-                self.side.breaker_histories(),
-            )
+            (view, None if choice is None else choice.vehicle_id, self.side.breaker_histories())
         )
         return choice
-
-
-class PerWorkerPass(Allocator):
-    """Hands the outermost gate the candidate list a pass used to build."""
-
-    def __init__(self, inner, clouds):
-        self.inner = inner
-        self.clouds = clouds
-
-    def choose(self, task, candidates, worker_ids=()):
-        cloud = next(c for c in self.clouds if c.worker_view().ids == tuple(worker_ids))
-        return self.inner.choose(
-            task, per_worker_candidates(cloud.pool, task, cloud.dwell_lookup, worker_ids)
-        )
 
 
 # -- one world ----------------------------------------------------------------
@@ -226,13 +220,16 @@ class Side:
             dag=self.scheduler,
         )
         if per_candidate:
+            # The gates as they were: inside the allocator, per candidate.
+            self.cloud.gates.clear()
             inner = GreedyResourceAllocator()
             if self.scheduler is not None:
-                inner = PerCandidateGatedAllocator(inner, per_candidate_dag_gate(self.scheduler))
-            self.cloud.allocator = PerCandidateGatedAllocator(
+                inner = FilteringAllocator(inner, per_candidate_dag_gate(self.scheduler))
+            self.cloud.allocator = FilteringAllocator(
                 inner, per_candidate_gateway_gate(self.gateway)
             )
-        # As CloudFederation._split builds it: the allocator is shared.
+        # As CloudFederation._split builds it: the allocator is shared and
+        # the gates are copied.
         self.split = VehicularCloud(
             world,
             "pass-vc-split",
@@ -241,14 +238,13 @@ class Side:
             coordination=self.cloud.coordination,
             dwell_lookup=self.cloud.dwell_lookup,
         )
+        self.split.gates = list(self.cloud.gates)
         for vehicle, mips in zip(vehicles[len(CLOUD_MIPS):], SPLIT_MIPS):
             self.split.membership.join(vehicle.vehicle_id, world.now, vehicle.position)
             self.split.pool.add_offer(ResourceOffer(vehicle.vehicle_id, mips, 10**9, 1e6))
         self.split.head_id = vehicles[len(CLOUD_MIPS)].vehicle_id
-        allocator = self.cloud.allocator
-        if per_candidate:
-            allocator = PerWorkerPass(allocator, [self.cloud, self.split])
-        self.cloud.allocator = self.split.allocator = PassLog(allocator, self)
+        for cloud in (self.cloud, self.split):
+            cloud.allocator = PassLog(cloud.allocator, self, cloud, per_candidate)
         self.passes = []
         self.held = []
 
@@ -491,15 +487,6 @@ def gate_gateways(setups):
     return gateways
 
 
-def per_candidate_pass_gate(gateway, task, candidates, worker_ids):
-    """The gate as one ``allows`` per candidate: the view's workers, as the
-    per-worker pass built them, then the hand-built candidates."""
-    gate = per_candidate_gateway_gate(gateway)
-    for worker in worker_ids:
-        gate(task, WorkerCandidate(worker, 0.0, 0.0))
-    return [candidate for candidate in candidates if gate(task, candidate)]
-
-
 class TestGateOnHandBuiltInput:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -518,24 +505,21 @@ class TestGateOnHandBuiltInput:
         ).map(lambda pair: pair[0] + pair[1]),
         view=st.lists(st.sampled_from(GATE_WORKERS), unique=True),
         banned=st.one_of(st.none(), st.sets(st.sampled_from(GATE_WORKERS))),
-        # Ids outside the view, departed ones included, banned ids, ids
-        # without a breaker (a "none" setup, or not on the board at all)
-        # and duplicates.
-        picks=st.lists(
-            st.sampled_from(GATE_WORKERS + DEPARTED_WORKERS + ("stranger",)), max_size=10
-        ),
     )
-    def test_barred_set_gate_matches_per_candidate_gate(self, setups, view, banned, picks):
+    def test_barred_set_gate_matches_per_candidate_gate(self, setups, view, banned):
         new, old = gate_gateways(setups)
         task = Task(work_mi=100.0)
         if banned is not None:
             for gateway in (new, old):
                 gateway._anti_affinity[task.task_id] = set(banned)
-        candidates = [WorkerCandidate(worker, 100.0, 1e9) for worker in picks]
 
-        admitted = new._gate(task, candidates, tuple(view))
+        excluded = new._gate(task, tuple(view))
 
-        assert admitted == per_candidate_pass_gate(old, task, candidates, tuple(view))
+        # The per-worker pass built a candidate for every worker of the
+        # view and asked the old gate about each, in view order.
+        gate = per_candidate_gateway_gate(old)
+        admitted = [worker for worker in view if gate(task, WorkerCandidate(worker, 0.0, 0.0))]
+        assert [worker for worker in view if worker not in excluded] == admitted
         assert breaker_histories(new.breakers) == breaker_histories(old.breakers)
         assert_unsettled_tracked(new.breakers)
 
@@ -652,12 +636,22 @@ class TestPassCost:
         return cloud, board, view, free, lookups
 
     def count_calls(self, monkeypatch):
-        """Record candidates built, offers read and breakers asked."""
-        calls = {"built": [], "offers": [], "board": [], "breaker": []}
+        """Record pool scans, candidates built, offers read and breakers asked.
+
+        A pass calls ``candidates_from_pool`` through the module global
+        of :mod:`repro.core.vcloud`, which the traced benchmark wraps by
+        name to count scans.
+        """
+        calls = {"scans": [], "built": [], "offers": [], "board": [], "breaker": []}
+        scan = vcloud_module.candidates_from_pool
         new = WorkerCandidate.__new__
         offer_of = ResourcePool.offer_of
         board_allows = CircuitBreakerBoard.allows
         allows = CircuitBreaker.allows
+
+        def counting_scan(pool, task, dwell_lookup, worker_ids, excluded=()):
+            calls["scans"].append(tuple(worker_ids))
+            return scan(pool, task, dwell_lookup, worker_ids, excluded)
 
         # A NamedTuple is built by its ``__new__``; it has no ``__init__``.
         def counting_new(cls, *args, **kwargs):
@@ -676,6 +670,7 @@ class TestPassCost:
             calls["breaker"].append(breaker.name)
             return allows(breaker)
 
+        monkeypatch.setattr(vcloud_module, "candidates_from_pool", counting_scan)
         monkeypatch.setattr(WorkerCandidate, "__new__", counting_new)
         monkeypatch.setattr(ResourcePool, "offer_of", counting_offer_of)
         monkeypatch.setattr(CircuitBreakerBoard, "allows", counting_board_allows)
@@ -689,13 +684,14 @@ class TestPassCost:
         record = cloud.submit(Task(work_mi=100.0))
 
         assert record.worker_id == free
+        assert calls["scans"] == [view]
         assert calls["built"] == [free]
         assert set(calls["breaker"]) <= {free}
         assert lookups == list(view)
         assert calls["offers"] == []
         assert calls["board"] == []
 
-    def test_a_barred_worker_costs_one_gate_call(self, world, monkeypatch):
+    def test_a_barred_worker_costs_no_candidate(self, world, monkeypatch):
         cloud, board, view, free, lookups = self.build(world, free_count=2)
         # Trip the worker the greedy rank prefers: the greater id.
         tripped, other = max(free), min(free)
@@ -706,7 +702,103 @@ class TestPassCost:
         record = cloud.submit(Task(work_mi=100.0))
 
         assert record.worker_id == other
-        assert calls["built"] == free
-        assert calls["board"] == [tripped]
+        assert calls["scans"] == [view]
+        assert calls["built"] == [other]
+        assert calls["board"] == []
+        assert calls["breaker"] == [tripped]
         assert lookups == list(view)
         assert calls["offers"] == []
+
+    def test_every_retry_is_one_scan(self, world, monkeypatch):
+        cloud, _, view, _, lookups = self.build(world, free_count=0)
+        calls = self.count_calls(monkeypatch)
+        lookups.clear()
+        record = cloud.submit(Task(work_mi=100.0))
+        world.run_for(2.5)  # retries at 1 s and 2 s
+
+        assert record.worker_id is None
+        assert calls["scans"] == [view] * 3
+        assert calls["built"] == []
+        assert lookups == list(view) * 3
+        assert calls["board"] == []
+
+
+class TestSiblingGate:
+    """The DAG's gate keeps a replica off the worker a live sibling holds."""
+
+    def test_a_sibling_keeps_its_worker_while_it_is_free(self, world):
+        vehicles = StationaryModel(
+            world, positions=[Vec2(i * 30.0, 0.0) for i in range(3)]
+        ).populate(3)
+        # Short dwells make the plan ask for two replicas.
+        cloud = VehicularCloud(
+            world,
+            "sibling-vc",
+            handover_policy=CheckpointHandoverPolicy(),
+            dwell_lookup=lambda _vid: 1.0,
+        )
+        for vehicle in vehicles:
+            cloud.admit(vehicle, offer=ResourceOffer(vehicle.vehicle_id, 100.0, 10**9, 1e6))
+        DagScheduler(
+            world,
+            cloud,
+            name="sibling",
+            reliability=ReliabilityEstimator(cloud),
+            redundancy=RedundancyPlanner(target_success=0.999, max_replicas=2),
+        ).submit(TaskGraph(stages=(StageSpec("s0", 5000.0),)))
+        first, second = cloud.records
+        held = first.worker_id
+        assert held is not None and second.worker_id not in (None, held)
+
+        # The second replica's worker leaves, so it is handed over while
+        # its sibling holds the one worker left.
+        cloud.member_leave(second.worker_id)
+        assert cloud.worker_view().ids == (held,)
+        assert second.worker_id is None
+        # As between a sibling's completion and its result's arrival, the
+        # worker it holds has free compute.
+        cloud.pool.release(cloud._executions[first.task.task_id].reservation)
+        world.run_for(2.5)
+
+        assert first.worker_id == held
+        assert first.state in (TaskState.ASSIGNED, TaskState.RUNNING)
+        assert second.worker_id is None
+
+
+class TestFederationSplit:
+    """A split made by ``CloudFederation._split`` keeps its parent's gates."""
+
+    def test_split_keeps_the_gates_of_its_parent(self, world):
+        # Two knots of equal workers 1 km apart: the far one secedes.
+        near = [Vehicle(position=Vec2(i * 30.0, 0.0)) for i in range(3)]
+        far = [Vehicle(position=Vec2(1000.0 + i * 30.0, 0.0)) for i in range(3)]
+        lookup = {v.vehicle_id: v for v in near + far}
+        cloud = VehicularCloud(world, "stretched")
+        for vehicle in near + far:
+            cloud.admit(vehicle, offer=ResourceOffer(vehicle.vehicle_id, 100.0, 10**9, 1e6))
+        board = CircuitBreakerBoard(world, "split")
+        ServiceGateway(world, cloud, name="split", breakers=board)
+        federation = CloudFederation(world, lookup.get, merge_range_m=150.0, max_diameter_m=600.0)
+        federation.register(cloud)
+        federation.step()
+        (split,) = [c for c in federation.clouds if c is not cloud]
+        view = split.worker_view().ids
+        assert len(view) == 2 and set(view) <= {v.vehicle_id for v in far}
+
+        # Among equal workers the greedy rank prefers the greater id.
+        tripped = max(view)
+        board.trip(tripped, "test")
+        assert board.breaker_for(tripped).cooldown_remaining_s > 0.0
+        placed = split.submit(Task(work_mi=100.0))
+        starved = split.submit(Task(work_mi=100.0))
+        assert placed.worker_id == min(view)
+        assert starved.worker_id is None
+
+        # A gate registered after the split belongs to its own cloud.
+        seen = {"parent": [], "split": []}
+        cloud.gates.append(lambda _task, worker_ids: seen["parent"].append(worker_ids) or ())
+        split.gates.append(lambda _task, worker_ids: seen["split"].append(worker_ids) or ())
+        cloud.submit(Task(work_mi=100.0))
+        assert seen == {"parent": [cloud.worker_view().ids], "split": []}
+        split.submit(Task(work_mi=100.0))
+        assert seen == {"parent": [cloud.worker_view().ids], "split": [view]}

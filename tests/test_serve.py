@@ -6,15 +6,12 @@ import pytest
 
 from repro.core import (
     CheckpointHandoverPolicy,
-    GatedAllocator,
-    GreedyResourceAllocator,
     ResourceOffer,
     Task,
     VehicularCloud,
 )
 from repro.chaos import ServingConservation
 from repro.core.race import Race
-from repro.core.scheduler import WorkerCandidate
 from repro.core.tasks import TaskState
 from repro.errors import ConfigurationError
 from repro.faults import BackoffPolicy
@@ -513,29 +510,48 @@ class TestGatewayWiring:
         world.run_until(20.0)
         assert cloud.accounting()["executions"] == 0
 
-    def test_gated_allocator_filters_candidates(self):
-        inner = GreedyResourceAllocator()
+    def test_gates_exclude_workers_once_per_pass(self):
+        world, _v, cloud = build_cloud()
+        view = cloud.worker_view().ids
+        lookups = []
+
+        def dwell_lookup(worker):
+            lookups.append(worker)
+            return 1e9
+
+        cloud.dwell_lookup = dwell_lookup
+        # Among equal workers the greedy rank prefers the greatest id.
+        excluded = max(view)
         passes = []
 
-        def gate(task, candidates, worker_ids):
-            passes.append(([c.vehicle_id for c in candidates], tuple(worker_ids)))
-            return [c for c in candidates if c.vehicle_id != "banned"]
+        def gate(task, worker_ids):
+            passes.append(tuple(worker_ids))
+            return {excluded}
 
-        gated = GatedAllocator(inner, gate)
-        candidates = [
-            WorkerCandidate("banned", free_mips=1000, estimated_dwell_s=100),
-            WorkerCandidate("ok", free_mips=10, estimated_dwell_s=100),
-        ]
-        view = ("banned", "busy", "ok")
-        choice = gated.choose(Task(work_mi=10), candidates, view)
-        assert choice is not None and choice.vehicle_id == "ok"
-        # One gate call per pass, with the pass's whole view.
-        assert passes == [(["banned", "ok"], view)]
+        cloud.gates.append(gate)
+        placed = cloud.submit(Task(work_mi=10))
+        assert placed.worker_id is not None and placed.worker_id != excluded
+        # One gate call per pass, with the pass's whole view, and the
+        # excluded worker's dwell is still looked up.
+        assert passes == [view]
+        assert lookups == list(view)
         # A pass with no free worker still runs the gate, once.
-        assert gated.choose(Task(work_mi=10), [], view) is None
-        assert passes[1:] == [([], view)]
-        all_banned = GatedAllocator(inner, lambda _t, _c, _w: [])
-        assert all_banned.choose(Task(work_mi=10), candidates, view) is None
+        held = [
+            cloud.pool.reserve(worker, cloud.pool.free_mips(worker))
+            for worker in view
+            if cloud.pool.free_mips(worker) > 0
+        ]
+        starved = cloud.submit(Task(work_mi=10))
+        assert starved.worker_id is None
+        assert passes == [view, view]
+        for reservation in held:
+            cloud.pool.release(reservation)
+        # Excluding every worker leaves the task retrying.
+        cloud.gates.append(lambda _task, worker_ids: set(worker_ids))
+        world.run_for(3.5)
+        assert starved.state is TaskState.PENDING
+        assert cloud._retries[starved.task.task_id] == 4
+        assert passes == [view] * 5
 
     def test_lease_eviction_trips_breaker(self):
         world, vehicles, cloud = build_cloud()

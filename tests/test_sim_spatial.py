@@ -42,6 +42,27 @@ def brute_within(positions, point, radius):
 # positions both occur often instead of almost never.
 coords = st.integers(min_value=-30, max_value=30).map(lambda v: v * 50.0)
 points = st.tuples(coords, coords).map(lambda t: Vec2(*t))
+
+
+def nudge(value, how):
+    """One ulp up or down, or plus an offset that moves only a zero."""
+    if how == "up":
+        return math.nextafter(value, math.inf)
+    if how == "down":
+        return math.nextafter(value, -math.inf)
+    return value + how
+
+
+# The middle of the lattice, each value nudged by an ulp or by a tiny or
+# subnormal offset: such an item can sit a rounding error past a cell
+# edge and still pass the rounded hit test.
+nudged_coords = st.tuples(
+    st.integers(min_value=-6, max_value=6).map(lambda v: v * 50.0),
+    st.sampled_from(
+        [0.0, "up", "down", 5e-324, -5e-324, 1e-300, -1e-300, -6.885248324426932e-199]
+    ),
+).map(lambda pair: nudge(*pair))
+nudged_points = st.tuples(nudged_coords, nudged_coords).map(lambda t: Vec2(*t))
 radii = st.sampled_from(
     [0.0, -0.0, 50.0, 100.0, 150.0, 300.0, 500.0, 3000.0, math.inf, math.nan]
 )
@@ -98,6 +119,15 @@ class TestSpatialGridBasics:
         assert grid.within(Vec2(0, 0), 300.0) == ["edge"]
         assert grid.within(Vec2(0, 0), math.nextafter(300.0, 0.0)) == []
 
+    def test_item_a_rounding_error_past_a_cell_edge(self):
+        # The item lies in the cell below the disc's lowest one, but its
+        # distance rounds to exactly the radius, as the scan computes it.
+        grid = SpatialGrid(cell_size_m=300.0)
+        grid.insert("a", Vec2(0.0, 120.0))
+        grid.insert("b", Vec2(0.0, -6.885248324426932e-199))
+        assert Vec2(0.0, 120.0).distance_to(Vec2(0.0, -6.885248324426932e-199)) == 120.0
+        assert grid.within(Vec2(0.0, 120.0), 120.0) == ["a", "b"]
+
     def test_coincident_positions(self):
         grid = SpatialGrid(cell_size_m=100.0)
         grid.insert("a", Vec2(5, 5))
@@ -148,8 +178,8 @@ class TestGridEqualsBruteForce:
     """Property: ``within()`` ≡ insertion-ordered brute-force scan."""
 
     @given(
-        items=st.lists(points, min_size=0, max_size=40),
-        query=points,
+        items=st.lists(st.one_of(points, nudged_points), min_size=0, max_size=40),
+        query=st.one_of(points, nudged_points),
         radius=radii,
         cell=st.sampled_from([30.0, 100.0, 300.0, 1500.0]),
     )
@@ -162,6 +192,12 @@ class TestGridEqualsBruteForce:
             # Exactly the distance to an item: the inclusive boundary.
             boundary = query.distance_to(position)
             assert grid.within(query, boundary) == brute_within(positions, query, boundary)
+            # Discs whose edge runs through an item, along either axis.
+            for edge in (
+                Vec2(position.x, position.y + radius),
+                Vec2(position.x - radius, position.y),
+            ):
+                assert grid.within(edge, radius) == brute_within(positions, edge, radius)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
