@@ -15,8 +15,8 @@ the group."  Three allocators bracket the design space:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
-from typing import Callable, Collection, List, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Collection, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import TaskError
 from ..sim.rng import SeededRng
@@ -25,18 +25,26 @@ from .tasks import Task
 
 
 class WorkerCandidate(NamedTuple):
-    """One member considered for an assignment.
+    """One member considered for an assignment, with its fields named.
 
     A :class:`typing.NamedTuple`, so a candidate is a tuple: its fields
     are read-only, and it equals (and hashes like) any tuple of the same
-    values.  An assignment pass builds one per free worker, and a tuple
-    builds in well under half the time a frozen dataclass takes.
+    values.  An assignment pass builds none: :func:`candidates_from_pool`
+    returns plain tuples in this field order (a :data:`CandidateRow`),
+    and every allocator reads a candidate by position, so a hand-built
+    candidate and a pass's row choose the same worker.
     """
 
     vehicle_id: str
     free_mips: float
     estimated_dwell_s: float  # estimated remaining time in the cloud
     has_required_sensors: bool = True
+
+
+#: A candidate as allocators read it: a :class:`WorkerCandidate` or a
+#: plain ``(vehicle_id, free_mips, estimated_dwell_s,
+#: has_required_sensors)`` tuple in the same order.
+CandidateRow = Tuple[str, float, float, bool]
 
 
 @dataclass(frozen=True)
@@ -59,26 +67,20 @@ class Allocator:
     name = "base"
 
     def choose(
-        self, task: Task, candidates: Sequence[WorkerCandidate]
+        self, task: Task, candidates: Sequence[CandidateRow]
     ) -> Optional[AllocationChoice]:
         """Pick a worker, or None if no candidate is acceptable."""
         raise NotImplementedError
 
     @staticmethod
-    def _eligible(task: Task, candidates: Sequence[WorkerCandidate]) -> List[WorkerCandidate]:
-        return [
-            c
-            for c in candidates
-            if c.free_mips > 0 and c.has_required_sensors
-        ]
+    def _eligible(task: Task, candidates: Sequence[CandidateRow]) -> List[CandidateRow]:
+        # Positions 1 and 3: free compute and the task's sensors.
+        return [c for c in candidates if c[1] > 0 and c[3]]
 
     @staticmethod
-    def _choice(task: Task, candidate: WorkerCandidate) -> AllocationChoice:
-        return AllocationChoice(
-            vehicle_id=candidate.vehicle_id,
-            expected_runtime_s=task.runtime_on(candidate.free_mips),
-            estimated_dwell_s=candidate.estimated_dwell_s,
-        )
+    def _choice(task: Task, candidate: CandidateRow) -> AllocationChoice:
+        vehicle_id, free_mips, dwell_s, _ = candidate
+        return AllocationChoice(vehicle_id, task.runtime_on(free_mips), dwell_s)
 
 
 class RandomAllocator(Allocator):
@@ -90,7 +92,7 @@ class RandomAllocator(Allocator):
         self.rng = rng
 
     def choose(
-        self, task: Task, candidates: Sequence[WorkerCandidate]
+        self, task: Task, candidates: Sequence[CandidateRow]
     ) -> Optional[AllocationChoice]:
         eligible = self._eligible(task, candidates)
         if not eligible:
@@ -98,10 +100,10 @@ class RandomAllocator(Allocator):
         return self._choice(task, self.rng.choice(eligible))
 
 
-#: The greedy rank: most free compute, ties to the greater id.
-_BY_FREE_MIPS = attrgetter("free_mips", "vehicle_id")
-#: Rank of the ``(runtime_s, vehicle_id, candidate)`` rows of dwell-safe
-#: candidates: shortest runtime, ties to the smaller id.
+#: The greedy rank of candidates: most free compute, ties to the greater id.
+_BY_FREE_MIPS = itemgetter(1, 0)
+#: Rank of the ``(runtime_s, vehicle_id, estimated_dwell_s)`` rows of
+#: dwell-safe candidates: shortest runtime, ties to the smaller id.
 _BY_RUNTIME = itemgetter(0, 1)
 
 
@@ -111,7 +113,7 @@ class GreedyResourceAllocator(Allocator):
     name = "greedy-resource"
 
     def choose(
-        self, task: Task, candidates: Sequence[WorkerCandidate]
+        self, task: Task, candidates: Sequence[CandidateRow]
     ) -> Optional[AllocationChoice]:
         eligible = self._eligible(task, candidates)
         if not eligible:
@@ -132,13 +134,13 @@ class DwellAwareAllocator(Allocator):
     name = "dwell-aware"
 
     def __init__(self, safety_factor: float = 1.5, fallback_to_fastest: bool = True) -> None:
-        if safety_factor <= 0:
+        if not safety_factor > 0:  # NaN fails too
             raise TaskError("safety_factor must be positive")
         self.safety_factor = safety_factor
         self.fallback_to_fastest = fallback_to_fastest
 
     def choose(
-        self, task: Task, candidates: Sequence[WorkerCandidate]
+        self, task: Task, candidates: Sequence[CandidateRow]
     ) -> Optional[AllocationChoice]:
         eligible = self._eligible(task, candidates)
         if not eligible:
@@ -146,15 +148,15 @@ class DwellAwareAllocator(Allocator):
         factor = self.safety_factor
         # One runtime per candidate, for both the dwell gate and the rank.
         safe = [
-            (runtime_s, c.vehicle_id, c)
-            for c in eligible
-            for runtime_s in (task.runtime_on(c.free_mips),)
-            if c.estimated_dwell_s >= runtime_s * factor
+            (runtime_s, vehicle_id, dwell_s)
+            for vehicle_id, free_mips, dwell_s, _ in eligible
+            for runtime_s in (task.runtime_on(free_mips),)
+            if dwell_s >= runtime_s * factor
         ]
         if safe:
             # Among safe workers prefer the fastest (shortest runtime).
-            runtime_s, _, best = min(safe, key=_BY_RUNTIME)
-            return AllocationChoice(best.vehicle_id, runtime_s, best.estimated_dwell_s)
+            runtime_s, vehicle_id, dwell_s = min(safe, key=_BY_RUNTIME)
+            return AllocationChoice(vehicle_id, runtime_s, dwell_s)
         if not self.fallback_to_fastest:
             return None
         return self._choice(task, max(eligible, key=_BY_FREE_MIPS))
@@ -166,8 +168,8 @@ def candidates_from_pool(
     dwell_lookup: Callable[[str], float],
     worker_ids: Sequence[str],
     excluded: Collection[str] = (),
-) -> List[WorkerCandidate]:
-    """The assignable workers of one pass, as candidates.
+) -> List[CandidateRow]:
+    """The assignable workers of one pass, as candidate rows.
 
     ``worker_ids`` are the members eligible for work, in pool order:
     a cloud passes the ids of its
@@ -178,15 +180,17 @@ def candidates_from_pool(
     from its state.  ``dwell_lookup`` (vehicle id -> estimated remaining
     dwell in seconds) is the only call made per worker, once for
     *every* worker, in that order, since a lookup may draw from a
-    seeded stream.  A candidate is built only for a worker with free
+    seeded stream.  A row is returned only for a worker with free
     compute that carries the task's sensors and is not ``excluded``
     (the ids the cloud's gates bar for this task); the rest could never
-    be chosen.  Free compute is read live, so reservations show up at
-    once.
+    be chosen.  Each row is a plain tuple in :class:`WorkerCandidate`'s
+    field order, ``(vehicle_id, free_mips, estimated_dwell_s, True)``,
+    so a pass builds no :class:`WorkerCandidate`.  Free compute is read
+    live, so reservations show up at once.
     """
     required = task.required_sensors
     return [
-        WorkerCandidate(vehicle_id, free_mips, dwell_s)
+        (vehicle_id, free_mips, dwell_s, True)
         for vehicle_id, state, dwell_s in zip(
             worker_ids, pool.member_states(worker_ids), map(dwell_lookup, worker_ids)
         )

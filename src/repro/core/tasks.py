@@ -43,16 +43,17 @@ class Task:
     task_id: str = field(default_factory=lambda: f"task-{next_id('task')}")
 
     def __post_init__(self) -> None:
-        if self.work_mi <= 0:
+        # Each check is written so that NaN fails it.
+        if not self.work_mi > 0:
             raise TaskError("work_mi must be positive")
-        if self.input_bytes < 0 or self.output_bytes < 0:
+        if not (self.input_bytes >= 0 and self.output_bytes >= 0):
             raise TaskError("transfer sizes must be non-negative")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise TaskError("deadline_s must be positive when given")
 
     def runtime_on(self, mips: float) -> float:
         """Pure compute time on a worker with the given rate."""
-        if mips <= 0:
+        if not mips > 0:
             raise TaskError("mips must be positive")
         return self.work_mi / mips
 

@@ -518,11 +518,14 @@ class VehicularCloud:
         runtime = record.remaining_work_mi / reservation.mips
         start_at = self.world.now + transfer
         finish_at = start_at + runtime
-        handle = self.world.engine.schedule_at(
-            finish_at, lambda: self._complete(record.task.task_id), label="task-complete"
-        )
+        # Start before completion: a handover can leave so little work
+        # that ``finish_at == start_at``, and of two events at one instant
+        # the one scheduled first runs first.
         self.world.engine.schedule_at(
             start_at, lambda: self._start_if_assigned(record), label="task-start"
+        )
+        handle = self.world.engine.schedule_at(
+            finish_at, lambda: self._complete(record.task.task_id), label="task-complete"
         )
         exec_span: Optional["Span"] = None
         tracer = self.world.tracer

@@ -375,19 +375,16 @@ class DagScheduler:
         now = self.world.now
         survival = [
             self.reliability.survival_probability(
-                c.vehicle_id,
-                task.runtime_on(c.free_mips),
-                now,
-                dwell_s=c.estimated_dwell_s,
+                vehicle_id, task.runtime_on(free_mips), now, dwell_s=dwell_s
             )
-            for c in candidates
+            for vehicle_id, free_mips, dwell_s, _ in candidates
         ]
         if self.backlog is not None and candidates:
             # Load-aware objective: survival gain per extra replica is
             # discounted by the queue delay it induces, so under combined
             # churn and load the plan sheds redundancy (E18).
             budget_s = self._remaining_budget_s(record)
-            runtime_s = min(task.runtime_on(c.free_mips) for c in candidates)
+            runtime_s = min(task.runtime_on(row[1]) for row in candidates)  # row[1]: free MIPS
             plan = self.redundancy.plan(
                 survival,
                 budget_s=budget_s if budget_s is not None else float("inf"),

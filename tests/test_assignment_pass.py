@@ -2,16 +2,18 @@
 
 An assignment pass asks its cloud's gates once which ids of its worker
 view the task may not use, asks the circuit breakers once for the whole
-view, and builds candidates only for the workers that can take the task.
-The guards at the bottom pin that cost.  The state machine runs two
-identically seeded worlds through the same rules: one places work
-through the cloud's gates, the other through the per-candidate gate they
-replaced, written out here (one candidate per worker of the view, the
-gateway's old gate on each, then the DAG's, then the inner allocator).
+view, and returns plain rows only for the workers that can take the
+task, building no ``WorkerCandidate``.  The guards at the bottom pin
+that cost.  The state machine runs two identically seeded worlds
+through the same rules: one places work through the cloud's gates, the
+other through the per-candidate gate they replaced, written out here
+(one candidate per worker of the view, the gateway's old gate on each,
+then the DAG's, then the inner allocator).
 Every pass, every breaker's history and every task's worker sequence
 must stay equal between the two.  Two differential tests on hand-built
 input follow: the gateway's excluded ids against the per-candidate gate,
-with breakers in every state, and the allocators against their ranks
+with breakers in every state, and the allocators, fed each input both as
+named ``WorkerCandidate`` tuples and as plain rows, against their ranks
 written as lambda keys.  A split made by the federation keeps its
 parent's gates.
 """
@@ -37,6 +39,7 @@ from repro.core import (
     CloudFederation,
     DwellAwareAllocator,
     GreedyResourceAllocator,
+    RandomAllocator,
     ResourceOffer,
     ResourcePool,
     Task,
@@ -59,7 +62,7 @@ from repro.serve import (
     ServiceGateway,
     ServiceRequest,
 )
-from repro.sim import ScenarioConfig, World
+from repro.sim import ScenarioConfig, SeededRng, World
 
 SEED = 23
 #: The gateway's cloud: its head, then five workers.  Equal speeds make
@@ -561,7 +564,15 @@ def lambda_key_dwell_aware(task, candidates, safety_factor, fallback_to_fastest)
     return lambda_key_choice(task, max(eligible, key=lambda c: (c.free_mips, c.vehicle_id)))
 
 
+def lambda_key_random(task, candidates, rng):
+    eligible = lambda_key_eligible(candidates)
+    if not eligible:
+        return None
+    return lambda_key_choice(task, rng.choice(eligible))
+
+
 RANK_WORK_MI = 1200.0
+RANK_SEED = 31
 #: Ties, zero and negative free compute.
 RANK_FREE_MIPS = st.sampled_from((-50.0, 0.0, 100.0, 150.0, 300.0, 400.0))
 #: Few ids, so candidates tie on id as well.
@@ -596,16 +607,24 @@ class TestAllocatorRanks:
             )
             for vehicle_id, free, dwell, sensors in rows
         ]
+        greedy_key = lambda_key_greedy(task, candidates)
+        dwell_aware_key = lambda_key_dwell_aware(
+            task, candidates, safety_factor, fallback_to_fastest
+        )
+        random_key = lambda_key_random(task, candidates, SeededRng(RANK_SEED, "rank"))
 
-        # repr compares every field and reads a NaN dwell as equal to itself.
-        greedy = GreedyResourceAllocator().choose(task, candidates)
-        assert repr(greedy) == repr(lambda_key_greedy(task, candidates))
-        dwell_aware = DwellAwareAllocator(safety_factor, fallback_to_fastest).choose(
-            task, candidates
-        )
-        assert repr(dwell_aware) == repr(
-            lambda_key_dwell_aware(task, candidates, safety_factor, fallback_to_fastest)
-        )
+        # An assignment pass hands the allocators plain tuples in the same
+        # field order; both forms must choose alike.
+        for given_rows in (candidates, [tuple(c) for c in candidates]):
+            # repr compares every field and reads a NaN dwell as equal to itself.
+            greedy = GreedyResourceAllocator().choose(task, given_rows)
+            assert repr(greedy) == repr(greedy_key)
+            dwell_aware = DwellAwareAllocator(safety_factor, fallback_to_fastest).choose(
+                task, given_rows
+            )
+            assert repr(dwell_aware) == repr(dwell_aware_key)
+            picked = RandomAllocator(SeededRng(RANK_SEED, "rank")).choose(task, given_rows)
+            assert repr(picked) == repr(random_key)
 
 
 class TestPassCost:
@@ -636,13 +655,14 @@ class TestPassCost:
         return cloud, board, view, free, lookups
 
     def count_calls(self, monkeypatch):
-        """Record pool scans, candidates built, offers read and breakers asked.
+        """Record pool scans and the rows they return, ``WorkerCandidate``
+        tuples built, offers read and breakers asked.
 
         A pass calls ``candidates_from_pool`` through the module global
         of :mod:`repro.core.vcloud`, which the traced benchmark wraps by
         name to count scans.
         """
-        calls = {"scans": [], "built": [], "offers": [], "board": [], "breaker": []}
+        calls = {"scans": [], "rows": [], "built": [], "offers": [], "board": [], "breaker": []}
         scan = vcloud_module.candidates_from_pool
         new = WorkerCandidate.__new__
         offer_of = ResourcePool.offer_of
@@ -651,7 +671,9 @@ class TestPassCost:
 
         def counting_scan(pool, task, dwell_lookup, worker_ids, excluded=()):
             calls["scans"].append(tuple(worker_ids))
-            return scan(pool, task, dwell_lookup, worker_ids, excluded)
+            rows = scan(pool, task, dwell_lookup, worker_ids, excluded)
+            calls["rows"].extend(rows)
+            return rows
 
         # A NamedTuple is built by its ``__new__``; it has no ``__init__``.
         def counting_new(cls, *args, **kwargs):
@@ -685,7 +707,8 @@ class TestPassCost:
 
         assert record.worker_id == free
         assert calls["scans"] == [view]
-        assert calls["built"] == [free]
+        assert calls["rows"] == [(free, 100.0, 1e9, True)]
+        assert calls["built"] == []
         assert set(calls["breaker"]) <= {free}
         assert lookups == list(view)
         assert calls["offers"] == []
@@ -703,7 +726,8 @@ class TestPassCost:
 
         assert record.worker_id == other
         assert calls["scans"] == [view]
-        assert calls["built"] == [other]
+        assert calls["rows"] == [(other, 100.0, 1e9, True)]
+        assert calls["built"] == []
         assert calls["board"] == []
         assert calls["breaker"] == [tripped]
         assert lookups == list(view)
@@ -718,6 +742,7 @@ class TestPassCost:
 
         assert record.worker_id is None
         assert calls["scans"] == [view] * 3
+        assert calls["rows"] == []
         assert calls["built"] == []
         assert lookups == list(view) * 3
         assert calls["board"] == []

@@ -149,6 +149,15 @@ class TestTask:
         with pytest.raises(TaskError):
             Task(work_mi=1, deadline_s=0)
 
+    @pytest.mark.parametrize("field", ["work_mi", "deadline_s", "input_bytes", "output_bytes"])
+    def test_nan_field_is_rejected(self, field):
+        with pytest.raises(TaskError):
+            Task(**{"work_mi": 1.0, field: math.nan})
+
+    def test_runtime_on_nan_mips_is_rejected(self):
+        with pytest.raises(TaskError):
+            Task(work_mi=1000).runtime_on(math.nan)
+
     def test_lifecycle_happy_path(self):
         record = TaskRecord(task=Task(work_mi=100), submitted_at=0.0)
         record.assign("worker", now=1.0)
@@ -266,6 +275,10 @@ class TestAllocators:
         # fast-leaver needs 1s but only stays 2s (< 1.5 safety on 1s? 1*1.5=1.5 <= 2 ok)
         # With work 1000: fast-leaver runtime 1s, dwell 2s -> safe actually.
         assert choice is not None
+
+    def test_dwell_aware_rejects_nan_safety_factor(self):
+        with pytest.raises(TaskError):
+            DwellAwareAllocator(safety_factor=math.nan)
 
     def test_dwell_aware_gates_unsafe_workers(self):
         allocator = DwellAwareAllocator(safety_factor=1.5, fallback_to_fastest=False)

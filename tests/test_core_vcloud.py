@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.errors import ResourceError
 from repro.geometry import Vec2
+from repro.ids import reset_global_ids
 from repro.infra import Rsu, deploy_rsus_on_highway
 from repro.mobility import (
     Highway,
@@ -166,6 +167,31 @@ class TestChurnAndHandover:
         assert record.progress == 0.0
         assert cloud.stats.wasted_work_mi > 0
         assert cloud.stats.drops == 1
+
+    def test_handover_at_the_finish_instant_completes(self):
+        """A worker that leaves at the instant its task finishes checkpoints
+        just under all of it, so the handover's run starts and finishes at
+        one instant; its start must still come before its completion."""
+
+        def build():
+            reset_global_ids()
+            world = World(ScenarioConfig(seed=1234))
+            return world, static_cloud(world, members=3, mips=100.0)[2]
+
+        world, cloud = build()
+        record = cloud.submit(Task(work_mi=100))
+        execution = cloud._executions[record.task.task_id]
+        finish_at = execution.started_at + execution.runtime_s
+        worker = record.worker_id
+
+        world, cloud = build()
+        world.engine.schedule_at(finish_at, lambda: cloud.member_leave(worker), label="leave")
+        record = cloud.submit(Task(work_mi=100))
+        assert record.worker_id == worker
+        world.run_for(30.0)
+        assert record.handovers == 1
+        assert record.state is TaskState.COMPLETED
+        assert cloud.stats.completed == 1
 
     def test_head_departure_promotes_new_head(self, world):
         _m, vehicles, cloud = static_cloud(world)
