@@ -20,7 +20,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import render_table
-from repro.core import DynamicVCloud, InfrastructureVCloud, ModePropagation, Task, TaskState
+from repro.core import DynamicVCloud, InfrastructureVCloud, Task, TaskState
+from repro.core.modes import ModePropagation
 from repro.infra import deploy_rsus_on_highway
 from repro.net import WirelessChannel
 from repro.security.access import OperatingMode
@@ -151,7 +152,7 @@ def test_emergency_failover_to_dynamic_cloud(record_table, benchmark):
 
 def test_mode_policies_change_behaviour(benchmark):
     """Emergency-mode policy flags match §V.A's prescriptions."""
-    from repro.core import DEFAULT_POLICIES
+    from repro.core.modes import DEFAULT_POLICIES
 
     emergency = DEFAULT_POLICIES[OperatingMode.EMERGENCY]
     normal = DEFAULT_POLICIES[OperatingMode.NORMAL]

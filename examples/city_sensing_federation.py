@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from repro import ScenarioConfig, World
 from repro.analysis import render_table
-from repro.core import (
-    CloudFederation,
-    SensingQuery,
-    SensingService,
-    TopologyRecorder,
-    VehicularCloud,
-)
+from repro.core import VehicularCloud
+from repro.core.federation import CloudFederation
+from repro.core.sensing import SensingQuery, SensingService
+from repro.core.snapshot import TopologyRecorder
 from repro.geometry import Vec2
 from repro.mobility import ManhattanGrid, ManhattanModel, SensorKind
 from repro.security.access import AnonymousAccessIssuer, AnonymousAccessVerifier

@@ -18,12 +18,11 @@ from repro.analysis import render_table
 from repro.core import (
     FileStore,
     ReplicationManager,
-    ResourceDirectory,
     ResourceOffer,
-    ResourceQuery,
     StationaryVCloud,
     StoredFile,
 )
+from repro.core.directory import ResourceDirectory, ResourceQuery
 from repro.mobility import ParkingLotModel
 from repro.security.access import (
     AccessContext,

@@ -23,10 +23,10 @@ from repro.analysis import render_table
 from repro.core import (
     DynamicVCloud,
     InfrastructureVCloud,
-    ModePropagation,
     Task,
     TaskState,
 )
+from repro.core.modes import ModePropagation
 from repro.infra import DisasterModel, deploy_rsus_on_highway
 from repro.mobility import Highway, HighwayModel
 from repro.net import VehicleNode, WirelessChannel

@@ -29,7 +29,6 @@ from its spec and resets the process-global id counters first.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -281,6 +280,9 @@ class CampaignOrchestrator:
         if self.workers == 1 or len(jobs) == 1:
             raw = [_execute_run_job(job) for job in jobs]
         else:
+            # Imported here: a serial run never loads multiprocessing.
+            import multiprocessing
+
             # Spawn (not fork): workers start from a clean interpreter,
             # so nothing from the parent process can leak into runs.
             context = multiprocessing.get_context("spawn")

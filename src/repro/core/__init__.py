@@ -1,26 +1,30 @@
-"""V-cloud core: architectures, membership, election, tasks, replication, modes."""
+"""V-cloud core: architectures, membership, election, tasks, replication.
+
+The package re-exports what a v-cloud run is built from: the three
+architectures, membership, broker election, resource pooling, task
+allocation, handover, backlog estimation, the replicated file store and
+the :class:`VehicularCloud` itself.
+
+Nine feature modules are not re-exported, because no run of the
+campaign harness loads them and importing a name here loads its module
+in every process that imports ``repro.core``.  Three of them
+(``bootstrap``, ``modes`` and ``snapshot``) import :mod:`repro.security`
+as well.  Import their names from the defining submodule::
+
+    from repro.core.aggregation import ResultAggregator    # result aggregation
+    from repro.core.bootstrap import SecureBootstrap       # secure bootstrap
+    from repro.core.directory import ResourceDirectory     # resource directory
+    from repro.core.federation import CloudFederation      # merge and split
+    from repro.core.incentives import CreditLedger         # credit incentives
+    from repro.core.modes import ModePropagation           # operating modes
+    from repro.core.sensing import SensingService          # sensing-as-a-service
+    from repro.core.snapshot import TopologyRecorder       # topology forensics
+    from repro.core.task_protocol import NetworkedTaskExchange  # offload over the channel
+"""
 
 from ..faults.recovery import BackoffPolicy, WorkerLeases
-from .incentives import CreditLedger, IncentivizedSubmission, LedgerEntry
-from .task_protocol import NetworkedTaskExchange, OffloadResult
-from .bootstrap import BootstrapResult, BootstrapStats, SecureBootstrap
-from .federation import CloudFederation
-from .sensing import SensingAnswer, SensingQuery, SensingService
-from .snapshot import (
-    ForensicService,
-    InvestigationReport,
-    TopologyRecorder,
-    TopologySnapshot,
-)
-from .aggregation import (
-    AggregationJob,
-    PartialResult,
-    ResultAggregator,
-    dissemination_cost,
-)
 from .architectures import DynamicVCloud, InfrastructureVCloud, StationaryVCloud
 from .capacity import BacklogEstimator, LoadSignal
-from .directory import ResourceDirectory, ResourceQuery
 from .election import BrokerCandidate, BrokerElection, ElectionResult
 from .handover import (
     CheckpointHandoverPolicy,
@@ -29,7 +33,6 @@ from .handover import (
     HandoverPolicy,
 )
 from .membership import MemberInfo, MembershipManager
-from .modes import ModeManager, ModePolicy, ModePropagation, DEFAULT_POLICIES
 from .replication import (
     FileStore,
     QuorumConfig,
@@ -63,24 +66,7 @@ from .vcloud import (
 
 __all__ = [
     "BackoffPolicy",
-    "NetworkedTaskExchange",
-    "OffloadResult",
     "WorkerLeases",
-    "CreditLedger",
-    "IncentivizedSubmission",
-    "LedgerEntry",
-    "BootstrapResult",
-    "BootstrapStats",
-    "CloudFederation",
-    "ForensicService",
-    "InvestigationReport",
-    "SecureBootstrap",
-    "SensingAnswer",
-    "SensingQuery",
-    "SensingService",
-    "TopologyRecorder",
-    "TopologySnapshot",
-    "AggregationJob",
     "AllocationChoice",
     "Allocator",
     "BacklogEstimator",
@@ -91,7 +77,6 @@ __all__ = [
     "CloudStats",
     "CoordinationAdapter",
     "GeometryCoordination",
-    "DEFAULT_POLICIES",
     "DropPolicy",
     "DwellAwareAllocator",
     "DynamicVCloud",
@@ -103,15 +88,10 @@ __all__ = [
     "InfrastructureVCloud",
     "MemberInfo",
     "MembershipManager",
-    "ModeManager",
-    "ModePolicy",
-    "ModePropagation",
-    "PartialResult",
     "QuorumConfig",
     "RandomAllocator",
     "ReadResult",
     "Reservation",
-    "ResourceDirectory",
     "ReplicationManager",
     "VersionStamp",
     "WriteResult",
@@ -119,8 +99,6 @@ __all__ = [
     "ResourceKind",
     "ResourceOffer",
     "ResourcePool",
-    "ResourceQuery",
-    "ResultAggregator",
     "RsuCoordination",
     "StationaryVCloud",
     "StoredFile",
@@ -132,5 +110,4 @@ __all__ = [
     "WorkerCandidate",
     "WorkerView",
     "candidates_from_pool",
-    "dissemination_cost",
 ]

@@ -108,7 +108,7 @@ class OnboardEquipment:
     def __post_init__(self) -> None:
         if not self.compute_mips > 0:
             raise ConfigurationError("compute_mips must be positive")
-        if self.storage_bytes < 0:
+        if not self.storage_bytes >= 0:
             raise ConfigurationError("storage_bytes must be non-negative")
         if not self.bandwidth_bps > 0:
             raise ConfigurationError("bandwidth_bps must be positive")

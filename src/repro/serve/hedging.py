@@ -74,7 +74,7 @@ class HedgePolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.quantile < 1.0:
             raise ConfigurationError("quantile must be in (0, 1)")
-        if self.fallback_factor < 1.0:
+        if not self.fallback_factor >= 1.0:
             raise ConfigurationError("fallback_factor must be >= 1")
         if self.max_inflight_hedges < 1:
             raise ConfigurationError("max_inflight_hedges must be >= 1")

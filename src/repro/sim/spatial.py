@@ -57,7 +57,7 @@ class SpatialGrid(Generic[ItemId]):
     """
 
     def __init__(self, cell_size_m: float) -> None:
-        if cell_size_m <= 0:
+        if not cell_size_m > 0:
             raise SimulationError("cell_size_m must be positive")
         self.cell_size_m = cell_size_m
         self._cells: Dict[_Cell, Dict[ItemId, _Record]] = {}

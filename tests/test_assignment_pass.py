@@ -36,7 +36,6 @@ from repro.core import (
     AllocationChoice,
     Allocator,
     CheckpointHandoverPolicy,
-    CloudFederation,
     DwellAwareAllocator,
     GreedyResourceAllocator,
     RandomAllocator,
@@ -47,6 +46,7 @@ from repro.core import (
     WorkerCandidate,
 )
 from repro.core import vcloud as vcloud_module
+from repro.core.federation import CloudFederation
 from repro.core.tasks import TaskState
 from repro.dag import DagScheduler, RedundancyPlanner, ReliabilityEstimator
 from repro.dag.graph import StageSpec, TaskGraph

@@ -5,16 +5,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    CloudFederation,
-    ForensicService,
-    ResourceOffer,
-    SecureBootstrap,
-    SensingQuery,
-    SensingService,
-    TopologyRecorder,
-    VehicularCloud,
-)
+from repro.core import ResourceOffer, VehicularCloud
+from repro.core.bootstrap import SecureBootstrap
+from repro.core.federation import CloudFederation
+from repro.core.sensing import SensingQuery, SensingService
+from repro.core.snapshot import ForensicService, TopologyRecorder
 from repro.geometry import Vec2
 from repro.mobility import (
     AutomationLevel,

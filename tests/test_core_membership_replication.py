@@ -7,17 +7,14 @@ import pytest
 from repro.errors import MembershipError, ResourceError, TaskError
 from repro.geometry import Vec2
 from repro.core import (
-    AggregationJob,
     FileStore,
     MembershipManager,
     ReplicationManager,
-    ResourceDirectory,
     ResourceOffer,
-    ResourceQuery,
-    ResultAggregator,
     StoredFile,
-    dissemination_cost,
 )
+from repro.core.aggregation import AggregationJob, ResultAggregator, dissemination_cost
+from repro.core.directory import ResourceDirectory, ResourceQuery
 from repro.mobility import SensorKind
 from repro.sim import SeededRng
 

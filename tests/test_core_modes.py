@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DEFAULT_POLICIES, ModeManager, ModePropagation
+from repro.core.modes import DEFAULT_POLICIES, ModeManager, ModePropagation
 from repro.errors import ConfigurationError
 from repro.geometry import Vec2
 from repro.mobility import Vehicle

@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from repro.core import SensingQuery
+from repro.core.sensing import SensingQuery
 from repro.geometry import Vec2
 from repro.ids import next_id, reset_global_ids
 from repro.mobility import SensorKind

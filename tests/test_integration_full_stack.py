@@ -11,14 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    DynamicVCloud,
-    ForensicService,
-    SecureBootstrap,
-    Task,
-    TaskState,
-    TopologyRecorder,
-)
+from repro.core import DynamicVCloud, Task, TaskState
+from repro.core.bootstrap import SecureBootstrap
+from repro.core.snapshot import ForensicService, TopologyRecorder
 from repro.geometry import Vec2
 from repro.mobility import Highway, HighwayModel
 from repro.net import BeaconService, VehicleNode, WirelessChannel

@@ -48,6 +48,11 @@ class TestOnboardEquipment:
         with pytest.raises(ConfigurationError):
             OnboardEquipment(**{field_name: math.nan})
 
+    def test_nan_storage_rejected(self):
+        # NaN passes a ``< 0`` check.
+        with pytest.raises(ConfigurationError):
+            OnboardEquipment(storage_bytes=math.nan)
+
     def test_for_level_scales_compute(self):
         low = OnboardEquipment.for_level(AutomationLevel.DRIVER_ASSISTANCE)
         high = OnboardEquipment.for_level(AutomationLevel.FULL_AUTOMATION)

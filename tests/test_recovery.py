@@ -7,12 +7,12 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.faults import BackoffPolicy, WorkerLeases
 from repro.core import (
-    NetworkedTaskExchange,
     ResourceOffer,
     Task,
     TaskState,
     VehicularCloud,
 )
+from repro.core.task_protocol import NetworkedTaskExchange
 from repro.geometry import Vec2
 from repro.mobility import StationaryModel, Vehicle
 from repro.net import InterceptVerdict, VehicleNode, WirelessChannel

@@ -401,6 +401,12 @@ class TestHedging:
         assert not policy.may_hedge(0, 0, 1.0, 2.0)    # deadline infeasible
         assert policy.may_hedge(0, 0, None, 2.0)       # no deadline: allowed
 
+    def test_nan_fallback_factor_is_rejected(self):
+        # NaN passes a ``< 1`` check, and a cold tracker's trigger delay
+        # would then be NaN, a delay the engine refuses to schedule.
+        with pytest.raises(ConfigurationError):
+            HedgePolicy(fallback_factor=float("nan"))
+
     def test_trigger_prefers_observed_quantile(self):
         policy = HedgePolicy(quantile=0.5, fallback_factor=3.0)
         tracker = LatencyQuantileTracker(min_samples=2)

@@ -86,6 +86,12 @@ class TestSpatialGridBasics:
         with pytest.raises(SimulationError):
             SpatialGrid(cell_size_m=0.0)
 
+    def test_nan_cell_size_is_rejected(self):
+        # NaN passes a ``<= 0`` check; the first insert then fails to
+        # floor a NaN cell coordinate.
+        with pytest.raises(SimulationError):
+            SpatialGrid(cell_size_m=math.nan)
+
     def test_duplicate_insert_raises(self):
         grid = SpatialGrid(cell_size_m=100.0)
         grid.insert("a", Vec2(0, 0))

@@ -17,11 +17,11 @@ import pytest
 from repro.chaos import InvariantSuite, TaskConservation, TierConservation
 from repro.core import (
     CheckpointHandoverPolicy,
-    CloudFederation,
     ResourceOffer,
     Task,
     VehicularCloud,
 )
+from repro.core.federation import CloudFederation
 from repro.core.race import Race
 from repro.core.tasks import TaskState
 from repro.errors import ConfigurationError
