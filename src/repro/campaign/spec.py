@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
@@ -97,12 +98,17 @@ class RunSpec:
                 f"fault profile {self.fault_profile!r} does not apply to "
                 f"architecture {self.architecture!r}"
             )
-        if self.run_length_s <= 0 or self.drain_s < 0:
-            raise CampaignError("run_length_s must be > 0 and drain_s >= 0")
+        # Written so NaN fails: every comparison with NaN is False.
+        if not 0 < self.run_length_s < math.inf:
+            raise CampaignError("run_length_s must be finite and > 0")
+        if not 0 <= self.drain_s < math.inf:
+            raise CampaignError("drain_s must be finite and >= 0")
         if self.members < 2:
             raise CampaignError("members must be >= 2")
-        if self.load_factor <= 0:
-            raise CampaignError("load_factor must be positive")
+        if not 0 < self.load_factor < math.inf:
+            raise CampaignError("load_factor must be finite and > 0")
+        if not 0 < self.check_interval_s < math.inf:
+            raise CampaignError("check_interval_s must be finite and > 0")
 
     @property
     def cell(self) -> str:

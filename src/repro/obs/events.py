@@ -2,10 +2,11 @@
 
 An :class:`EventLog` is the narrative companion to the metrics registry:
 where counters say *how many* crashes happened, event records say *which
-vehicle*, *when*, and *inside which trace*.  Records are plain frozen
-dataclasses with a subsystem, a severity, and free-form attributes, held
-in a bounded ring (oldest evicted first, evictions counted explicitly)
-and exportable as JSONL for offline analysis.
+vehicle*, *when*, and *inside which trace*.  Records are immutable named
+tuples with a subsystem, a severity, and free-form attributes, held in a
+bounded ring (oldest evicted first, evictions counted explicitly) and
+exportable as JSONL for offline analysis.  A run keeps every record
+until export, so a record is one small tuple with no ``__dict__``.
 
 Like the tracer, the log never touches the engine, RNG, or metrics —
 emitting events cannot perturb a seeded run.
@@ -13,10 +14,10 @@ emitting events cannot perturb a seeded run.
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Mapping, NamedTuple, Optional, Sequence
+
+from .exporters import write_jsonl
 
 #: Severities in increasing order of gravity.
 SEVERITIES = ("debug", "info", "warning", "error")
@@ -24,8 +25,7 @@ SEVERITIES = ("debug", "info", "warning", "error")
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """One structured telemetry event."""
 
     time: float
@@ -85,14 +85,7 @@ class EventLog:
         if _SEVERITY_RANK[severity] < _SEVERITY_RANK[self.min_severity]:
             self.suppressed += 1
             return None
-        record = EventRecord(
-            time=self._clock(),
-            subsystem=subsystem,
-            name=name,
-            severity=severity,
-            attrs=attrs,
-            trace_id=trace_id,
-        )
+        record = EventRecord(self._clock(), subsystem, name, severity, attrs, trace_id)
         if len(self._records) >= self.max_events:
             self._records.popleft()
             self.evicted += 1
@@ -134,12 +127,8 @@ class EventLog:
 
     def export_jsonl(self, path: str) -> int:
         """Write every retained record as one JSON object per line."""
-        records = self.records()
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record.as_dict(), sort_keys=True))
-                handle.write("\n")
-        return len(records)
+        write_jsonl(path, (record.as_dict() for record in self._records))
+        return len(self._records)
 
 
 __all__: Sequence[str] = ("SEVERITIES", "EventLog", "EventRecord")

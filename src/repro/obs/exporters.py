@@ -1,6 +1,6 @@
 """Render run telemetry into standard formats.
 
-Two exporters:
+Three exporters:
 
 * :func:`prometheus_text` — the Prometheus text exposition format,
   rendered from a :class:`~repro.sim.metrics.MetricsRegistry`: counters
@@ -8,14 +8,16 @@ Two exporters:
   and ``_sum``, timelines as gauges stamped with their last sim-time.
 * :func:`json_report` / :func:`write_json_report` — one structured JSON
   document combining the metrics snapshot with trace summaries, event
-  statistics and the wall-clock profile, i.e. everything a run produced.
+  statistics and the wall-clock profile, i.e. everything a run produced;
+* :func:`write_jsonl` — one sorted-key JSON object per line, the format
+  of the tracer's and the event log's exports.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _LEAD_RE = re.compile(r"^[^a-zA-Z_:]")
@@ -201,6 +203,18 @@ def json_report(
     return report
 
 
+def write_jsonl(path: str, rows: Iterable[Mapping[str, Any]]) -> None:
+    """Write each row to ``path`` as one sorted-key JSON object per line.
+
+    Every line equals ``json.dumps(row, sort_keys=True)``, but one
+    encoder serves the whole file, and the lines stream to the file one
+    at a time, so the file's text is never held whole.
+    """
+    encode = json.JSONEncoder(sort_keys=True).encode
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(encode(row) + "\n" for row in rows)
+
+
 def write_json_report(
     path: str,
     metrics: Optional[Any] = None,
@@ -235,4 +249,5 @@ __all__: Sequence[str] = (
     "sanitize_metric_name",
     "serving_ledger",
     "write_json_report",
+    "write_jsonl",
 )

@@ -21,9 +21,20 @@ tracing-off costs one attribute test per hook.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+from .exporters import write_jsonl
 
 #: How the wireless channel decides which frames deserve spans.
 #:
@@ -39,8 +50,7 @@ CHANNEL_FRAME_MODES = ("tagged", "all", "off")
 TraceContext = Tuple[str, str]
 
 
-@dataclass(frozen=True)
-class SpanEvent:
+class SpanEvent(NamedTuple):
     """A point-in-time annotation inside a span."""
 
     time: float
@@ -48,23 +58,74 @@ class SpanEvent:
     attrs: Mapping[str, Any]
 
 
-@dataclass
 class Span:
-    """One named interval of simulated time inside a trace."""
+    """One named interval of simulated time inside a trace.
+
+    A run keeps every span until export, so a span is one slotted
+    object: no per-instance ``__dict__``, and ``events`` holds the
+    shared empty tuple until :meth:`Tracer.add_event` gives it a list,
+    since most spans never get an event.
+    """
+
+    __slots__ = (
+        "span_id",
+        "trace_id",
+        "name",
+        "subsystem",
+        "start",
+        "parent_id",
+        "end",
+        "status",
+        "attrs",
+        "events",
+        "links",
+    )
 
     span_id: str
     trace_id: str
     name: str
     subsystem: str
     start: float
-    parent_id: Optional[str] = None
-    end: Optional[float] = None
-    status: str = "open"
-    attrs: Dict[str, Any] = field(default_factory=dict)
-    events: List[SpanEvent] = field(default_factory=list)
+    parent_id: Optional[str]
+    end: Optional[float]
+    status: str
+    attrs: Dict[str, Any]
+    events: Sequence[SpanEvent]
     #: Span ids this span is causally linked to (e.g. the fault that
     #: was active when this span degraded).
-    links: Tuple[str, ...] = ()
+    links: Tuple[str, ...]
+
+    def __init__(
+        self,
+        span_id: str,
+        trace_id: str,
+        name: str,
+        subsystem: str,
+        start: float,
+        parent_id: Optional[str] = None,
+        end: Optional[float] = None,
+        status: str = "open",
+        attrs: Optional[Dict[str, Any]] = None,
+        events: Optional[List[SpanEvent]] = None,
+        links: Tuple[str, ...] = (),
+    ) -> None:
+        self.span_id = span_id
+        self.trace_id = trace_id
+        self.name = name
+        self.subsystem = subsystem
+        self.start = start
+        self.parent_id = parent_id
+        self.end = end
+        self.status = status
+        self.attrs = {} if attrs is None else attrs
+        self.events = () if events is None else events
+        self.links = links
+
+    def __repr__(self) -> str:
+        return (
+            f"Span({self.span_id!r}, trace_id={self.trace_id!r}, name={self.name!r}, "
+            f"start={self.start!r}, end={self.end!r}, status={self.status!r})"
+        )
 
     @property
     def context(self) -> TraceContext:
@@ -160,13 +221,15 @@ class Tracer:
         if trace_id is None:
             trace_id = f"t{next(self._trace_ids)}"
         span = Span(
-            span_id=f"s{next(self._span_ids)}",
-            trace_id=trace_id,
-            name=name,
-            subsystem=subsystem,
-            start=self._clock(),
-            parent_id=parent_id,
-            attrs=dict(attrs) if attrs else {},
+            f"s{next(self._span_ids)}",
+            trace_id,
+            name,
+            subsystem,
+            self._clock(),
+            parent_id,
+            None,
+            "open",
+            dict(attrs) if attrs else {},
         )
         if len(self._spans) < self.max_spans:
             self._spans[span.span_id] = span
@@ -190,7 +253,12 @@ class Tracer:
 
     def add_event(self, span: Span, name: str, **attrs: Any) -> None:
         """Attach a point-in-time event to a span."""
-        span.events.append(SpanEvent(time=self._clock(), name=name, attrs=attrs))
+        event = SpanEvent(self._clock(), name, attrs)
+        events = span.events
+        if isinstance(events, list):
+            events.append(event)
+        else:  # the span's first event replaces the shared empty tuple
+            span.events = [*events, event]
 
     def link(self, span: Span, *targets: Union[Span, str]) -> None:
         """Causally link ``span`` to other spans (deduplicated, ordered)."""
@@ -390,12 +458,8 @@ class Tracer:
 
     def export_jsonl(self, path: str) -> int:
         """Write every retained span as one JSON object per line."""
-        spans = self.spans()
-        with open(path, "w", encoding="utf-8") as handle:
-            for span in spans:
-                handle.write(json.dumps(span.as_dict(), sort_keys=True))
-                handle.write("\n")
-        return len(spans)
+        write_jsonl(path, (span.as_dict() for span in self._spans.values()))
+        return len(self._spans)
 
 
 def trace_context_of(parent: ParentRef) -> Optional[TraceContext]:

@@ -76,7 +76,7 @@ class HedgePolicy:
             raise ConfigurationError("quantile must be in (0, 1)")
         if not self.fallback_factor >= 1.0:
             raise ConfigurationError("fallback_factor must be >= 1")
-        if self.max_inflight_hedges < 1:
+        if not self.max_inflight_hedges >= 1:
             raise ConfigurationError("max_inflight_hedges must be >= 1")
 
     def trigger_delay_s(

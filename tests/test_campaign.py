@@ -83,6 +83,38 @@ class TestRunSpec:
         with pytest.raises(CampaignError):
             RunSpec(**self.kwargs(architecture="infrastructure", mobility="grid"))
 
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [
+            (name, value)
+            for name in ("run_length_s", "drain_s", "load_factor", "check_interval_s")
+            for value in (float("nan"), float("inf"), -1.0)
+        ]
+        + [("run_length_s", 0.0), ("load_factor", 0.0), ("check_interval_s", 0.0)],
+    )
+    def test_non_finite_or_out_of_range_values_rejected(self, field_name, value):
+        with pytest.raises(CampaignError, match=field_name):
+            RunSpec(**self.kwargs(**{field_name: value}))
+
+    def test_zero_drain_accepted(self):
+        assert RunSpec(**self.kwargs(drain_s=0.0)).drain_s == 0.0
+
+    def test_nan_campaign_default_rejected_at_expansion(self):
+        spec = CampaignSpec.from_dict(
+            {
+                "name": "c",
+                "matrix": {
+                    "architectures": ["stationary"],
+                    "workloads": ["tasks"],
+                    "fault_profiles": ["none"],
+                    "seeds": [1],
+                },
+                "defaults": {"run_length_s": float("nan")},
+            }
+        )
+        with pytest.raises(CampaignError, match="run_length_s"):
+            spec.expand()
+
     def test_digest_is_stable_content_address(self):
         a = RunSpec(**self.kwargs())
         b = RunSpec(**self.kwargs())

@@ -407,6 +407,12 @@ class TestHedging:
         with pytest.raises(ConfigurationError):
             HedgePolicy(fallback_factor=float("nan"))
 
+    def test_nan_hedge_budget_is_rejected(self):
+        # NaN passes a ``< 1`` check, and ``inflight >= nan`` is always
+        # False, so the hedge budget would never bind.
+        with pytest.raises(ConfigurationError):
+            HedgePolicy(max_inflight_hedges=float("nan"))
+
     def test_trigger_prefers_observed_quantile(self):
         policy = HedgePolicy(quantile=0.5, fallback_factor=3.0)
         tracker = LatencyQuantileTracker(min_samples=2)
