@@ -27,6 +27,7 @@ even within one process — the property replay depends on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -212,10 +213,11 @@ class ChaosRunner:
         check_interval_s: float = 1.0,
         profile: Optional[ChaosProfile] = None,
     ) -> None:
-        if run_length_s <= 0:
-            raise ChaosError("run_length_s must be positive")
-        if check_interval_s <= 0:
-            raise ChaosError("check_interval_s must be positive")
+        # Written so NaN fails: every comparison with NaN is False.
+        if not 0 < run_length_s < math.inf:
+            raise ChaosError("run_length_s must be finite and > 0")
+        if not 0 < check_interval_s < math.inf:
+            raise ChaosError("check_interval_s must be finite and > 0")
         self.factory = factory
         self.run_length_s = run_length_s
         self.check_interval_s = check_interval_s

@@ -99,7 +99,10 @@ class Race:
 
     def __init__(self, ledger: RaceLedger, context: Any) -> None:
         self.ledger = ledger
-        #: Handed back to the ledger's ``on_won`` and ``on_lost``.
+        #: Handed back to the ledger's ``on_won`` or ``on_lost``, and None
+        #: once the race is decided (won, lost or aborted): the owner's
+        #: context usually holds the race, and a decided race that kept
+        #: it would tie the two in a cycle only the cyclic collector frees.
         self.context = context
         self.decided = False
         self.winner: Any = None
@@ -152,8 +155,9 @@ class Race:
         ledger.on_settled(handle, attempt.state, reason)
         if attempt.state == WON:
             self.decided, self.winner = True, handle
+            context, self.context = self.context, None
             self._cancel_live()
-            ledger.on_won(self.context, handle)
+            ledger.on_won(context, handle)
         elif attempt.state == FAILED:
             self.last_failure = reason
             self._check_lost()
@@ -162,13 +166,15 @@ class Race:
         """Decide the race without a winner and cancel its live attempts."""
         if not self.decided:
             self.decided = True
+            self.context = None
             self._cancel_live()
 
     def _check_lost(self) -> None:
         if self.decided or self._launching or any(a.live for a in self._attempts):
             return
         self.decided = True
-        self.ledger.on_lost(self.context, self.last_failure)
+        context, self.context = self.context, None
+        self.ledger.on_lost(context, self.last_failure)
 
     def _cancel_live(self) -> None:
         for attempt in self._attempts:

@@ -41,7 +41,10 @@ class CloudRequest:
     finish_at: float
     #: Set when the response fires; None while pending or once cancelled.
     completed_at: Optional[float] = None
-    #: Called once with ``(request, reason)`` at the terminal outcome.
+    #: Called once with ``(request, reason)`` at the terminal outcome,
+    #: and dropped before the call: a tier's callback holds the attempt
+    #: whose ``record`` is this request, so a kept one would tie them in
+    #: a cycle.
     on_finish: Optional[Callable[["CloudRequest", str], None]] = field(
         default=None, repr=False
     )
@@ -57,7 +60,8 @@ class CentralCloud:
         compute_mips: float = 500_000.0,
         wan_delay_s: Optional[float] = None,
     ) -> None:
-        if compute_mips <= 0:
+        # Each check is written so that NaN fails it.
+        if not compute_mips > 0:
             raise ConfigurationError("compute_mips must be positive")
         self.world = world
         self.compute_mips = compute_mips
@@ -85,7 +89,7 @@ class CentralCloud:
         with ``(request, reason)``: ``"completed"`` when the response
         fires, or the reason the request was cancelled with.
         """
-        if work_mi < 0:
+        if not work_mi >= 0:
             raise ConfigurationError("work_mi must be non-negative")
         arrival = self.world.now + self.wan_delay_s
         start = max(arrival, self._busy_until)
@@ -105,8 +109,7 @@ class CentralCloud:
         self._pending.remove(request)
         self.requests_served += 1
         request.completed_at = self.world.now
-        if request.on_finish is not None:
-            request.on_finish(request, "completed")
+        self._report(request, "completed")
 
     def cancel(self, request: CloudRequest, reason: str = "cancelled") -> bool:
         """Cancel an accepted request before its response fires.
@@ -132,9 +135,15 @@ class CentralCloud:
         self.requests_failed += 1
         self.failure_reasons[reason] = self.failure_reasons.get(reason, 0) + 1
         self.world.metrics.increment(f"central_cloud/failures/{reason}")
-        if request.on_finish is not None:
-            request.on_finish(request, reason)
+        self._report(request, reason)
         return True
+
+    @staticmethod
+    def _report(request: CloudRequest, reason: str) -> None:
+        """Hand the terminal outcome to the submitter's callback, then drop it."""
+        on_finish, request.on_finish = request.on_finish, None
+        if on_finish is not None:
+            on_finish(request, reason)
 
     @property
     def backlog_s(self) -> float:

@@ -14,9 +14,10 @@ up (those slots belong to fresh requests) and bounds concurrent hedges.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, List, Optional
 
 from ..errors import ConfigurationError
 from ..sim.metrics import percentile
@@ -29,6 +30,12 @@ class LatencyQuantileTracker:
     queries once ``min_samples`` have been seen; before that it reports
     None and callers fall back to an analytic estimate.  Deterministic:
     no RNG, pure function of the observation sequence.
+
+    The window is also kept sorted, so a query sorts nothing.  Equal to
+    ``sorted(window)`` element for element, ``-0.0`` included: ``insort``
+    puts a sample after the values equal to it, so the oldest of a run
+    of equal values sits leftmost, and the sample a full window evicts
+    is its oldest, the one at its ``bisect_left`` index.
     """
 
     def __init__(self, window: int = 64, min_samples: int = 10) -> None:
@@ -39,19 +46,26 @@ class LatencyQuantileTracker:
         self.window = window
         self.min_samples = min_samples
         self._samples: Deque[float] = deque(maxlen=window)
+        self._sorted: List[float] = []
 
     def __len__(self) -> int:
         return len(self._samples)
 
     def observe(self, latency_s: float) -> None:
         """Record one completed request's end-to-end latency."""
-        self._samples.append(latency_s)
+        if latency_s != latency_s:
+            raise ConfigurationError("latency_s must not be NaN")
+        samples, ordered = self._samples, self._sorted
+        if len(samples) == self.window:
+            del ordered[bisect_left(ordered, samples[0])]
+        samples.append(latency_s)
+        insort(ordered, latency_s)
 
     def quantile(self, fraction: float) -> Optional[float]:
         """The requested latency quantile, None until warmed up."""
-        if len(self._samples) < self.min_samples:
+        if len(self._sorted) < self.min_samples:
             return None
-        return percentile(sorted(self._samples), fraction)
+        return percentile(self._sorted, fraction)
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,9 @@ class PoissonArrivals:
     """Homogeneous Poisson arrivals at ``rate_per_s``."""
 
     def __init__(self, rate_per_s: float) -> None:
-        if rate_per_s <= 0:
-            raise ConfigurationError("rate_per_s must be positive")
+        # Written so that NaN fails; an infinite rate draws zero gaps.
+        if not 0 < rate_per_s < math.inf:
+            raise ConfigurationError("rate_per_s must be finite and positive")
         self.rate_per_s = rate_per_s
 
     def next_gap_s(self, rng: SeededRng, now: float) -> float:
@@ -68,10 +69,10 @@ class BurstyArrivals:
         mean_quiet_s: float = 20.0,
         mean_burst_s: float = 5.0,
     ) -> None:
-        if base_rate_per_s <= 0 or burst_rate_per_s <= 0:
-            raise ConfigurationError("arrival rates must be positive")
-        if mean_quiet_s <= 0 or mean_burst_s <= 0:
-            raise ConfigurationError("phase durations must be positive")
+        if not (0 < base_rate_per_s < math.inf and 0 < burst_rate_per_s < math.inf):
+            raise ConfigurationError("arrival rates must be finite and positive")
+        if not (0 < mean_quiet_s < math.inf and 0 < mean_burst_s < math.inf):
+            raise ConfigurationError("phase durations must be finite and positive")
         self.base_rate_per_s = base_rate_per_s
         self.burst_rate_per_s = burst_rate_per_s
         self.mean_quiet_s = mean_quiet_s
@@ -106,12 +107,14 @@ class DiurnalArrivals:
         period_s: float = 240.0,
         phase_s: float = 0.0,
     ) -> None:
-        if mean_rate_per_s <= 0:
-            raise ConfigurationError("mean_rate_per_s must be positive")
+        if not 0 < mean_rate_per_s < math.inf:
+            raise ConfigurationError("mean_rate_per_s must be finite and positive")
         if not 0.0 <= amplitude < 1.0:
             raise ConfigurationError("amplitude must be in [0, 1)")
-        if period_s <= 0:
-            raise ConfigurationError("period_s must be positive")
+        if not 0 < period_s < math.inf:
+            raise ConfigurationError("period_s must be finite and positive")
+        if not math.isfinite(phase_s):
+            raise ConfigurationError("phase_s must be finite")
         self.mean_rate_per_s = mean_rate_per_s
         self.amplitude = amplitude
         self.period_s = period_s
@@ -154,7 +157,7 @@ class TenantSpec:
 
     def __post_init__(self) -> None:
         low, high = self.work_mi_range
-        if low <= 0 or high < low:
+        if not 0 < low <= high:
             raise ConfigurationError("work_mi_range must satisfy 0 < low <= high")
         if self.priority < 0:
             raise ConfigurationError("priority must be non-negative")
@@ -190,8 +193,8 @@ class WorkloadGenerator:
             raise ConfigurationError("at least one tenant required")
         if len({spec.name for spec in tenants}) != len(tenants):
             raise ConfigurationError("tenant names must be unique")
-        if horizon_s <= 0:
-            raise ConfigurationError("horizon_s must be positive")
+        if not 0 < horizon_s < math.inf:
+            raise ConfigurationError("horizon_s must be finite and positive")
         self.world = world
         self.gateway = gateway
         self.tenants = list(tenants)

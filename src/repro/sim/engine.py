@@ -99,18 +99,24 @@ class EventHandle:
     holds the batch, keyed by its next entry), so ordering is a C-level
     tuple comparison that never reaches the handle itself: the sequence
     number is unique, which breaks every time tie.
+
+    A handle drops its callback when the event fires (before the
+    callback runs) and when it is cancelled, so a None callback marks a
+    spent handle.  Owners keep handles on the objects their callbacks
+    close over (a request's response, a dispatch's hedge check): a
+    handle that kept its callback would tie the two in a cycle, and a
+    cancelled one would pin its closure while it waits in the heap.
     """
 
-    __slots__ = ("_time", "_callback", "_label", "_cancelled", "_fired", "_engine")
+    __slots__ = ("_time", "_callback", "_label", "_cancelled", "_engine")
 
     def __init__(
         self, time: float, callback: EventCallback, label: str, engine: "Engine"
     ) -> None:
         self._time = time
-        self._callback = callback
+        self._callback: Optional[EventCallback] = callback
         self._label = label
         self._cancelled = False
-        self._fired = False
         self._engine = engine
 
     @property
@@ -130,9 +136,10 @@ class EventHandle:
 
     def cancel(self) -> None:
         """Prevent the event from firing; idempotent."""
-        if self._cancelled or self._fired:
-            return
+        if self._callback is None:
+            return  # already fired or cancelled
         self._cancelled = True
+        self._callback = None
         self._engine._note_cancellation()
 
 
@@ -254,7 +261,7 @@ class Engine:
                 continue
             if isinstance(event, EventBatch):
                 count += len(event._entries) - event._next
-            elif not event._fired:
+            else:
                 count += 1
         active = self._active_batch
         if active is not None and active._label == label:
@@ -374,8 +381,11 @@ class Engine:
         (drawn from ``rng``) to avoid global phase-locking of periodic
         processes such as beacons.
         """
-        if interval <= 0:
+        # Written so that NaN, for which every comparison is false, fails.
+        if not interval > 0:
             raise SimulationError(f"interval must be positive, got {interval}")
+        if not jitter >= 0:
+            raise SimulationError(f"jitter must be non-negative, got {jitter}")
         task = PeriodicTask(self, interval, callback, label, jitter, rng)
         first = interval if start_delay is None else start_delay
         task._arm(first)
@@ -415,10 +425,11 @@ class Engine:
             if isinstance(event, EventBatch):
                 self._run_batch(event, when, 1, 0)
                 return True
-            event._fired = True
+            callback, event._callback = event._callback, None
+            assert callback is not None  # a queued live handle has not fired
             self._now = when
             self._events_executed += 1
-            self._run_callback(event._callback, event._label)
+            self._run_callback(callback, event._label)
             return True
         return False
 
@@ -455,11 +466,12 @@ class Engine:
             if isinstance(event, EventBatch):
                 executed = self._run_batch(event, end_time, limit, executed)
                 continue
-            event._fired = True
+            callback, event._callback = event._callback, None
+            assert callback is not None  # a queued live handle has not fired
             self._now = when
             self._events_executed += 1
             executed += 1
-            self._run_callback(event._callback, event._label)
+            self._run_callback(callback, event._label)
         self._now = end_time
         return executed
 

@@ -47,9 +47,10 @@ class BackhaulLink:
         jitter_s: float = 0.0,
         loss_probability: float = 0.0,
     ) -> None:
-        if base_latency_s < 0 or jitter_s < 0:
+        # Each check is written so that NaN fails it.
+        if not (base_latency_s >= 0 and jitter_s >= 0):
             raise ConfigurationError("latency and jitter must be non-negative")
-        if throughput_bps <= 0:
+        if not throughput_bps > 0:
             raise ConfigurationError("throughput_bps must be positive")
         if not 0.0 <= loss_probability < 1.0:
             raise ConfigurationError("loss_probability must be in [0, 1)")
@@ -75,7 +76,7 @@ class BackhaulLink:
 
     def start_outage(self, duration_s: Optional[float] = None) -> None:
         """Cut the link; ``None`` means until :meth:`end_outage`."""
-        if duration_s is not None and duration_s <= 0:
+        if duration_s is not None and not duration_s > 0:
             raise ConfigurationError("outage duration_s must be positive")
         self._outage_until = (
             float("inf") if duration_s is None else self.world.now + duration_s
@@ -92,7 +93,7 @@ class BackhaulLink:
 
     def add_loss_window(self, duration_s: float, probability: float) -> None:
         """Elevate loss to ``probability`` for ``duration_s`` seconds."""
-        if duration_s <= 0:
+        if not duration_s > 0:
             raise ConfigurationError("duration_s must be positive")
         if not 0.0 <= probability <= 1.0:
             raise ConfigurationError("probability must be in [0, 1]")
@@ -105,7 +106,7 @@ class BackhaulLink:
 
     def add_jitter_window(self, duration_s: float, extra_s: float) -> None:
         """Add up to ``extra_s`` of jitter for ``duration_s`` seconds."""
-        if duration_s <= 0 or extra_s <= 0:
+        if not (duration_s > 0 and extra_s > 0):
             raise ConfigurationError("duration_s and extra_s must be positive")
         self._jitter_until = self.world.now + duration_s
         self._jitter_window_extra_s = extra_s

@@ -94,6 +94,9 @@ class TierAttempt:
     #: the request is on the uplink.
     record: Optional[ExecutorRecord] = None
     span: Optional["Span"] = None
+    #: Called once with ``(attempt, reason)`` and dropped before the
+    #: call: it is usually the race's bound ``settle``, and the race
+    #: holds the attempt, so a kept callback would tie them in a cycle.
     _on_finish: Optional[AttemptFinish] = field(default=None, repr=False)
 
     @property
@@ -198,8 +201,9 @@ class ExecutionTier:
         if attempt.terminal:
             return
         attempt.terminal_reason = reason
-        if attempt._on_finish is not None:
-            attempt._on_finish(attempt, reason)
+        on_finish, attempt._on_finish = attempt._on_finish, None
+        if on_finish is not None:
+            on_finish(attempt, reason)
 
     def cancel(self, attempt: TierAttempt, reason: str = SPECULATION_CANCELLED) -> bool:
         """Cancel a live attempt; False when its result is already in flight."""

@@ -321,6 +321,13 @@ class TestRunner:
         with pytest.raises(ChaosError):
             ChaosRunner(stationary_scenario, check_interval_s=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_runner_rejects_non_finite_lengths(self, bad):
+        with pytest.raises(ChaosError):
+            ChaosRunner(stationary_scenario, run_length_s=bad)
+        with pytest.raises(ChaosError):
+            ChaosRunner(stationary_scenario, check_interval_s=bad)
+
 
 class TestServingConservation:
     def _gateway(self, seed=11):

@@ -131,6 +131,16 @@ class TestCentralCloud:
         with pytest.raises(ConfigurationError):
             cloud.submit(work_mi=-1.0)
 
+    def test_nan_capacity_and_work_rejected(self, world):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError):
+            CentralCloud(world, compute_mips=float("nan"))
+        cloud = CentralCloud(world)
+        with pytest.raises(ConfigurationError):
+            cloud.submit(work_mi=float("nan"))
+        assert cloud.pending_requests() == 0 and cloud.backlog_s == 0.0
+
 
 class TestDeployment:
     def test_highway_spacing(self, world):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     CheckpointHandoverPolicy,
@@ -40,7 +44,7 @@ from repro.serve import (
     TenantSpec,
     WorkloadGenerator,
 )
-from repro.sim import ScenarioConfig, SeededRng, World
+from repro.sim import ScenarioConfig, SeededRng, World, percentile
 
 
 def build_cloud(seed=7, members=5, mips=100.0):
@@ -102,6 +106,27 @@ class TestArrivalProcesses:
         with pytest.raises(ConfigurationError):
             DiurnalArrivals(1.0, amplitude=1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rates_and_periods_are_rejected(self, bad):
+        # ``expovariate(inf)`` is 0.0: an infinite rate never advances
+        # the clock, and NaN passed every ``<= 0`` check.
+        with pytest.raises(ConfigurationError):
+            PoissonArrivals(bad)
+        with pytest.raises(ConfigurationError):
+            BurstyArrivals(bad, 2.0)
+        with pytest.raises(ConfigurationError):
+            BurstyArrivals(1.0, bad)
+        with pytest.raises(ConfigurationError):
+            BurstyArrivals(1.0, 2.0, mean_quiet_s=bad)
+        with pytest.raises(ConfigurationError):
+            BurstyArrivals(1.0, 2.0, mean_burst_s=bad)
+        with pytest.raises(ConfigurationError):
+            DiurnalArrivals(bad)
+        with pytest.raises(ConfigurationError):
+            DiurnalArrivals(1.0, period_s=bad)
+        with pytest.raises(ConfigurationError):
+            DiurnalArrivals(1.0, phase_s=bad)
+
 
 class TestWorkloadGenerator:
     def _run(self, seed):
@@ -162,6 +187,21 @@ class TestWorkloadGenerator:
             TenantSpec(name="x", arrivals=PoissonArrivals(1.0), clients=0)
         with pytest.raises(ConfigurationError):
             TenantSpec(name="x", arrivals=PoissonArrivals(1.0), work_mi_range=(5.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "work_mi_range", [(float("nan"), 5.0), (1.0, float("nan")), (float("nan"),) * 2]
+    )
+    def test_nan_work_range_is_rejected(self, work_mi_range):
+        with pytest.raises(ConfigurationError):
+            TenantSpec(name="x", arrivals=PoissonArrivals(1.0), work_mi_range=work_mi_range)
+
+    @pytest.mark.parametrize("horizon_s", [float("nan"), float("inf")])
+    def test_non_finite_horizon_is_rejected(self, horizon_s):
+        world, _v, cloud = build_cloud()
+        gateway = ServiceGateway(world, cloud, name="gw")
+        spec = TenantSpec(name="a", arrivals=PoissonArrivals(1.0))
+        with pytest.raises(ConfigurationError):
+            WorkloadGenerator(world, gateway, [spec], horizon_s=horizon_s)
 
 
 class TestBoundedPriorityQueue:
@@ -392,6 +432,43 @@ class TestHedging:
         for value in (1.0, 2.0, 3.0, 4.0):
             tracker.observe(value)
         assert tracker.quantile(0.5) == pytest.approx(2.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        window=st.integers(1, 70),
+        min_samples=st.integers(1, 70),
+        data=st.data(),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    )
+    def test_tracker_quantiles_equal_a_sort_of_the_window(
+        self, window, min_samples, data, fractions
+    ):
+        """Every answer equals ``percentile(sorted(window), q)`` bit for bit,
+        cold (None) and warm, through evictions of repeated values and
+        of both zeros.  Zeros are often the window's minimum, which the
+        quantile 0 returns as is, so a zero of the wrong sign shows."""
+        pool = [0.0, -0.0] + data.draw(st.lists(st.floats(0.0, 1e6), max_size=6))
+        samples = data.draw(st.lists(st.sampled_from(pool), max_size=160))
+        tracker = LatencyQuantileTracker(window=window, min_samples=min_samples)
+        kept: deque = deque(maxlen=window)
+        for sample in samples:
+            tracker.observe(sample)
+            kept.append(sample)
+            assert len(tracker) == len(kept)
+            for fraction in fractions + [0.0, 1.0]:
+                answer = tracker.quantile(fraction)
+                if len(kept) < min_samples:
+                    assert answer is None
+                else:
+                    expected = percentile(sorted(kept), fraction)
+                    assert answer.hex() == expected.hex()
+
+    def test_tracker_rejects_a_nan_latency(self):
+        tracker = LatencyQuantileTracker(window=4, min_samples=1)
+        tracker.observe(2.0)
+        with pytest.raises(ConfigurationError):
+            tracker.observe(float("nan"))
+        assert len(tracker) == 1 and tracker.quantile(0.5) == 2.0
 
     def test_policy_gating(self):
         policy = HedgePolicy(max_inflight_hedges=1, require_idle_queue=True)

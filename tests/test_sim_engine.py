@@ -209,6 +209,19 @@ class TestPeriodicTask:
         with pytest.raises(SimulationError):
             Engine().call_every(0.0, lambda: None)
 
+    @pytest.mark.parametrize(
+        "interval, jitter",
+        [(float("nan"), 0.0), (-1.0, 0.0), (1.0, -3.0), (1.0, float("nan"))],
+    )
+    def test_bad_interval_or_jitter_raises_at_the_call(self, interval, jitter):
+        # NaN passes a ``<= 0`` check: the interval raised only at the
+        # first firing, inside the loop, and a negative jitter was
+        # silently ignored.
+        engine = Engine()
+        with pytest.raises(SimulationError):
+            engine.call_every(interval, lambda: None, jitter=jitter, start_delay=1.0)
+        assert engine.pending_events == 0
+
     def test_jitter_desynchronizes(self):
         engine = Engine()
         rng = SeededRng(4, "jitter")

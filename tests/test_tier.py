@@ -103,6 +103,33 @@ class TestBackhaulLink:
         with pytest.raises(ConfigurationError):
             BackhaulLink(world, loss_probability=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"base_latency_s": float("nan")},
+            {"jitter_s": float("nan")},
+            {"throughput_bps": float("nan")},
+            {"loss_probability": float("nan")},
+        ],
+    )
+    def test_nan_parameters_are_rejected(self, world, kwargs):
+        with pytest.raises(ConfigurationError):
+            BackhaulLink(world, **kwargs)
+
+    def test_nan_fault_windows_are_rejected(self, world):
+        link = BackhaulLink(world)
+        # A NaN outage left available() False with no end.
+        with pytest.raises(ConfigurationError):
+            link.start_outage(float("nan"))
+        with pytest.raises(ConfigurationError):
+            link.add_loss_window(float("nan"), 0.5)
+        with pytest.raises(ConfigurationError):
+            link.add_jitter_window(float("nan"), 0.1)
+        with pytest.raises(ConfigurationError):
+            link.add_jitter_window(1.0, float("nan"))
+        assert link.available() and link.outages == 0
+        assert link.effective_loss_probability() == 0.0 and link.max_jitter_s() == 0.0
+
     def test_delivers_after_latency_plus_serialization(self, world):
         link = BackhaulLink(world, base_latency_s=0.1, throughput_bps=8_000.0)
         delivered = []
